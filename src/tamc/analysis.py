@@ -25,13 +25,14 @@ n = 18.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-from .machine_common import RunRecord
-from .machine_int import run_itam
-from .machine_source import run_stam
-from .machine_target import run_ttam
 from .calculi import DEFAULT_FUEL
+from .machine_common import RunRecord, run_loop
+from .machine_int import init_itam, measure_itam, readback_itam, step_itam
+from .machine_source import init_stam, measure_stam, readback_stam, step_stam
+from .machine_target import init_ttam, measure_ttam, readback_ttam, step_ttam
 from .terms import (
     Abs,
     App,
@@ -48,7 +49,7 @@ from .terms import (
     VarBag,
     metrics,
 )
-from .transforms import closure_convert, wrap
+from .transforms import closure_convert, reverse_convert, unwrap, wrap
 
 
 def identity() -> Abs:
@@ -293,6 +294,34 @@ def unfolded_size_from_target(t: TargetTerm) -> int:
     return term_size(t, (), ())
 
 
+@dataclass(frozen=True, slots=True)
+class Machine:
+    """One machine, from the source term it is given to the source term it gives back."""
+
+    translate: Callable  # source term -> the machine's input term
+    init: Callable
+    step: Callable
+    measure: Callable
+    readback: Callable
+    read_out: Callable  # read-back term -> source term
+
+    def run(self, u, fuel: int = DEFAULT_FUEL) -> RunRecord:
+        return run_loop(self.step, self.measure, self.init(self.translate(u)), fuel)
+
+
+def _as_is(t):
+    return t
+
+
+MACHINES = {
+    "source": Machine(_as_is, init_stam, step_stam, measure_stam, readback_stam, _as_is),
+    "int": Machine(wrap, init_itam, step_itam, measure_itam, readback_itam, unwrap),
+    "target": Machine(
+        closure_convert, init_ttam, step_ttam, measure_ttam, readback_ttam, reverse_convert
+    ),
+}
+
+
 FAMILIES = {
     "tuple-explosion": family_tuple_explosion,
     "fun-explosion": family_fun_explosion,
@@ -317,7 +346,7 @@ class BenchRow:
 
 
 def bench(family: str, ns, fuel: int = DEFAULT_FUEL) -> list[BenchRow]:
-    """Run all three machines on each family instance.
+    """Run every machine in MACHINES on each family instance.
 
     size/width/height describe the source instance; the machine column
     says which machine produced the counter columns.
@@ -329,12 +358,8 @@ def bench(family: str, ns, fuel: int = DEFAULT_FUEL) -> list[BenchRow]:
     for n in ns:
         t = builder(n)
         m = metrics(t)
-        runs = (
-            ("source", run_stam(t, fuel)),
-            ("int", run_itam(wrap(t), fuel)),
-            ("target", run_ttam(closure_convert(t), fuel)),
-        )
-        for machine, rec in runs:
+        for machine in MACHINES:
+            rec = MACHINES[machine].run(t, fuel)
             rows.append(
                 BenchRow(
                     family=family,

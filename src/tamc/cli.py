@@ -6,9 +6,10 @@ check over files or generated terms), bench (counter table as CSV),
 metrics (static numbers for one term).
 
 Exit codes: 0 success, 1 a check or run failed (clash, fuel, bisim
-divergence), 2 usage problems (bad flags, unreadable file, parse
-error, open input). The TAMC_FUEL environment variable overrides the
-default fuel everywhere; explicit --fuel flags win over it.
+divergence) or stdout was closed early, 2 usage problems (bad flags,
+unreadable file, parse error, input nested too deeply, open input).
+The TAMC_FUEL environment variable overrides the default fuel
+everywhere; explicit --fuel flags win over it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import argparse
 import os
 import sys
 
-from .analysis import FAMILIES, bench, write_bench_csv
+from .analysis import FAMILIES, MACHINES, bench, write_bench_csv
 from .bisim import DEFAULT_BISIM_FUEL, bisim_check
 from .calculi import DEFAULT_FUEL
 from .generate import GenConfig, gen_corpus
-from .machine_int import init_itam, step_itam, readback_itam
-from .machine_source import SClos, STup, init_stam, step_stam, readback_stam
-from .machine_target import init_ttam, step_ttam, readback_ttam
-from .machine_common import MachineFinal
+from .machine_common import Transition, run_loop
+from .machine_source import SClos, STup
 from .syntax import ParseError, parse, print_int, print_source, print_target
 from .terms import (
     Abs,
@@ -40,7 +39,7 @@ from .terms import (
     free_vars,
     metrics,
 )
-from .transforms import closure_convert, reverse_convert, unwrap, wrap
+from .transforms import closure_convert, wrap
 
 
 def _fail_usage(msg: str) -> int:
@@ -122,12 +121,6 @@ def _brief(t, budget: int = 14) -> str:
     return "".join(parts)
 
 
-_MACHINES = {
-    "source": (init_stam, step_stam, readback_stam),
-    "int": (init_itam, step_itam, readback_itam),
-    "target": (init_ttam, step_ttam, readback_ttam),
-}
-
 _PRINCIPAL = {"ebeta": "beta", "epi": "pi"}
 
 
@@ -175,45 +168,35 @@ def _cmd_run(args) -> int:
     fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_FUEL)
     if fuel is None or fuel <= 0:
         return _fail_usage("fuel must be a positive integer")
-    init, stepf, readback = _MACHINES[args.machine]
-    if args.machine == "int":
-        t = wrap(t)
-    elif args.machine == "target":
-        t = closure_convert(t)
-    state = init(t)
+    m = MACHINES[args.machine]
+    state = m.init(m.translate(t))
     if args.dump_states:
         _dump_state(0, state)
-    final = None
-    steps = 0
-    for i in range(1, fuel + 1):
-        r = stepf(state)
-        if isinstance(r, MachineFinal):
-            final = r
-            break
-        state = r.state
-        steps = i
-        if args.dump_states:
-            _dump_state(i, state)
-        elif args.trace:
-            label = _PRINCIPAL.get(r.name, "-")
-            cdepth, adepth = _depths(state)
-            print(f"{i}\t{r.name}\t{label}\t{_focus_summary(state)}\t{cdepth}\t{adepth}")
-    else:
-        r = stepf(state)
-        if isinstance(r, MachineFinal):
-            final = r
-    if final is None:
-        print(f"fuel exhausted after {steps} transitions")
+    shown = 0
+
+    def show(state):
+        # run_loop steps once more past the fuel to tell a stop from a cut
+        nonlocal shown
+        r = m.step(state)
+        if isinstance(r, Transition) and shown < fuel:
+            shown += 1
+            if args.dump_states:
+                _dump_state(shown, r.state)
+            else:
+                label = _PRINCIPAL.get(r.name, "-")
+                cdepth, adepth = _depths(r.state)
+                summary = _focus_summary(r.state)
+                print(f"{shown}\t{r.name}\t{label}\t{summary}\t{cdepth}\t{adepth}")
+        return r
+
+    rec = run_loop(show if args.dump_states or args.trace else m.step, m.measure, state, fuel)
+    if rec.final == "fuel":
+        print(f"fuel exhausted after {rec.steps} transitions")
         return 1
-    if final.status == "clash":
-        print(f"clash: {final.clash.value}")
+    if rec.final == "clash":
+        print(f"clash: {rec.clash.value}")
         return 1
-    result = readback(state)
-    if args.machine == "int":
-        result = unwrap(result)
-    elif args.machine == "target":
-        result = reverse_convert(result)
-    print(print_source(result))
+    print(print_source(m.read_out(m.readback(rec.final_state))))
     return 0
 
 
@@ -302,7 +285,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one machine on a .lam file")
     p.add_argument("file")
-    p.add_argument("--machine", choices=("source", "int", "target"), default="source")
+    p.add_argument("--machine", choices=tuple(MACHINES), default="source")
     p.add_argument("--trace", action="store_true", help="print one line per transition")
     p.add_argument("--dump-states", action="store_true", help="print full states instead")
     p.add_argument("--fuel", type=int, default=None)
@@ -323,7 +306,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="instrumented counters as CSV")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--machine", choices=("source", "int", "target", "all"), default="all")
+    p.add_argument("--machine", choices=(*MACHINES, "all"), default="all")
     p.add_argument("--csv", default=None, help="write to this file instead of stdout")
     p.add_argument("--fuel", type=int, default=None)
     p.set_defaults(fn=_cmd_bench)
@@ -336,7 +319,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (e.g. `| head`). Point stdout at
+        # devnull so that flushing it at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except RecursionError:
+        # The passes are recursive, so a deep enough input exhausts the stack.
+        where = getattr(args, "file", None)
+        return _fail_usage(f"{where}: input nested too deeply" if where else "input nested too deeply")
 
 
 if __name__ == "__main__":

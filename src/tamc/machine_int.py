@@ -1,90 +1,30 @@
-"""Tupled abstract machine for the intermediate calculus.
+"""Stacked machine for the intermediate calculus: the named environment.
 
-Unlike the source machine, this machine keeps a single environment for
-the code it is currently executing. Control stack entries therefore
-carry no environment of their own, and the machine never copies an
-environment: beta saves the caller's control stack and environment as
-one frame on the application stack, installs the callee's bindings as
-a fresh environment, and esea7 restores the caller when the callee's
-control stack drains.
-
-Closures carry their free-variable bindings in their bag, so the
-calculus values double as machine values. An unevaluated closure
-becomes a value in one usubw step that resolves its variable bag
-against the environment; evaluated closures always hold value bags,
-which is why open-closure applications cannot happen inside the
-machine once the initial term is closed.
-
-The environment is a tuple of (Var, value) bindings with the wrapped
-variables before the parameters; lookup cost is the scan position.
+The environment is a tuple of (Var, value) bindings, the wrapped
+variables before the parameters. A variable resolves by scanning for
+its name and its lookup costs the scan position; ebeta builds one
+binding per wrapped variable and parameter and costs 1 + |wrapped| +
+|params|. The machine itself is `machine_stacked`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .calculi import DEFAULT_FUEL, ClashKind, subst_int
-from .machine_common import Cost, MachineFinal, MachineInvariantError, RunRecord, Transition, run_loop
-from .terms import (
-    App,
-    Closure,
-    IntTerm,
-    Proj,
-    Tuple,
-    ValBag,
-    Var,
-    VarBag,
-    closed_int,
-    prime_int,
-    size_int,
-    well_formed_int,
-)
+from .calculi import DEFAULT_FUEL, subst_int
+from .machine_common import MachineInvariantError, RunRecord, run_loop
+from .machine_stacked import State, Unev, stacked_machine
+from .terms import Closure, IntTerm, Var, closed_int, prime_int, size_int, well_formed_int
 
 Env = tuple  # of (Var, value) pairs, innermost binding first
 
 
-@dataclass(frozen=True, slots=True)
-class Unev:
-    term: IntTerm
-
-
-@dataclass(frozen=True, slots=True)
-class PendingFn:
-    term: IntTerm
-
-
-@dataclass(frozen=True, slots=True)
-class ArgVal:
-    value: IntTerm
-
-
-@dataclass(frozen=True, slots=True)
-class ProjFrame:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class PartialTuple:
-    pending: tuple  # still to evaluate, original order
-    done: tuple  # evaluated items, original order
-
-
-@dataclass(frozen=True, slots=True)
-class IState:
-    focus: object  # Unev or an intermediate value
-    env: Env
-    cstack: tuple
-    astack: tuple  # of (cstack, env) caller frames, most recent last
-
-
-def init_itam(t: IntTerm) -> IState:
+def init_itam(t: IntTerm) -> State:
     if not well_formed_int(t):
         raise ValueError("initial term must be well formed")
     if not closed_int(t):
         raise ValueError("initial term must be closed")
     if not prime_int(t):
         raise ValueError("initial term must have variable bags only")
-    return IState(Unev(t), (), (), ())
+    return State(Unev(t), (), (), ())
 
 
 def _resolve(env: Env, var: Var) -> tuple:
@@ -95,127 +35,16 @@ def _resolve(env: Env, var: Var) -> tuple:
     raise MachineInvariantError(f"unbound variable {var.name}")
 
 
-def step_itam(s: IState) -> Transition | MachineFinal:
-    f = s.focus
-    if isinstance(f, Unev):
-        t = f.term
-        match t:
-            case App(fn=fn, arg=arg):
-                return Transition(
-                    "usea1",
-                    IState(Unev(arg), s.env, s.cstack + (PendingFn(fn),), s.astack),
-                    Cost(1),
-                )
-            case Proj(index=i, arg=arg):
-                return Transition(
-                    "usea2",
-                    IState(Unev(arg), s.env, s.cstack + (ProjFrame(i),), s.astack),
-                    Cost(1),
-                )
-            case Tuple(items=items) if items:
-                entry = PartialTuple(items[:-1], ())
-                return Transition(
-                    "usea3",
-                    IState(Unev(items[-1]), s.env, s.cstack + (entry,), s.astack),
-                    Cost(1 + len(items)),
-                )
-            case Tuple(items=()):
-                return Transition(
-                    "usea4", IState(Tuple(()), s.env, s.cstack, s.astack), Cost(1)
-                )
-            case Closure(wrapped=w, params=p, body=b, bag=bag):
-                match bag:
-                    case VarBag(vars=vs):
-                        resolved = []
-                        scanned = 0
-                        for v in vs:
-                            val, pos = _resolve(s.env, v)
-                            resolved.append(val)
-                            scanned += pos
-                        value = Closure(w, p, b, ValBag(tuple(resolved)))
-                        return Transition(
-                            "usubw",
-                            IState(value, s.env, s.cstack, s.astack),
-                            Cost(1 + len(vs), lookup=scanned),
-                        )
-                    case ValBag(vals=()):
-                        # canonical empty bag, nothing to resolve
-                        return Transition(
-                            "usubw", IState(t, s.env, s.cstack, s.astack), Cost(1)
-                        )
-                raise MachineInvariantError("unevaluated closure with a non-empty value bag")
-            case Var():
-                val, pos = _resolve(s.env, t)
-                return Transition(
-                    "usubv",
-                    IState(val, s.env, s.cstack, s.astack),
-                    Cost(1 + pos, lookup=pos, subv_lookup=pos),
-                )
-        raise MachineInvariantError(f"not an intermediate term in focus: {t!r}")
-
-    if not s.cstack:
-        if not s.astack:
-            return MachineFinal("successful")
-        caller_cstack, caller_env = s.astack[-1]
-        return Transition(
-            "esea7",
-            IState(f, caller_env, caller_cstack, s.astack[:-1]),
-            Cost(1),
-        )
-    head = s.cstack[-1]
-    rest = s.cstack[:-1]
-    match head:
-        case PendingFn(term=t):
-            return Transition(
-                "esea1",
-                IState(Unev(t), s.env, rest + (ArgVal(f),), s.astack),
-                Cost(1),
-            )
-        case PartialTuple(pending=pending, done=done):
-            if pending:
-                entry = PartialTuple(pending[:-1], (f,) + done)
-                return Transition(
-                    "esea6",
-                    IState(Unev(pending[-1]), s.env, rest + (entry,), s.astack),
-                    Cost(1),
-                )
-            items = (f,) + done
-            return Transition(
-                "esea3", IState(Tuple(items), s.env, rest, s.astack), Cost(1 + len(items))
-            )
-        case ProjFrame(index=i):
-            if isinstance(f, Tuple) and 1 <= i <= len(f.items):
-                return Transition(
-                    "epi", IState(f.items[i - 1], s.env, rest, s.astack), Cost(1)
-                )
-            return MachineFinal("clash", ClashKind.PROJECTION)
-        case ArgVal(value=v):
-            if isinstance(f, Tuple):
-                return MachineFinal("clash", ClashKind.TUPLE)
-            if isinstance(f, Closure):
-                if not isinstance(f.bag, ValBag):
-                    raise MachineInvariantError("applied closure still has a variable bag")
-                if isinstance(v, Tuple) and len(v.items) == len(f.params):
-                    if len(f.bag.vals) != len(f.wrapped):
-                        raise MachineInvariantError("closure bag does not match its wrapped variables")
-                    new_env = tuple(zip(f.wrapped, f.bag.vals)) + tuple(
-                        zip(f.params, v.items)
-                    )
-                    return Transition(
-                        "ebeta",
-                        IState(
-                            Unev(f.body),
-                            new_env,
-                            (),
-                            s.astack + ((rest, s.env),),
-                        ),
-                        Cost(1 + len(f.wrapped) + len(f.params)),
-                    )
-                return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
-    raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+def _install(f: Closure, args: tuple):
+    if len(args) != len(f.params):
+        return None
+    if len(f.bag.vals) != len(f.wrapped):
+        raise MachineInvariantError("closure bag does not match its wrapped variables")
+    env = tuple(zip(f.wrapped, f.bag.vals)) + tuple(zip(f.params, args))
+    return env, 1 + len(f.wrapped) + len(f.params)
 
 
-def _resolve_term(t: IntTerm, env: Env) -> IntTerm:
+def _substitute(t: IntTerm, env: Env) -> IntTerm:
     """Substitute the whole environment into an unevaluated term."""
     if not env:
         return t
@@ -224,59 +53,9 @@ def _resolve_term(t: IntTerm, env: Env) -> IntTerm:
     return subst_int(t, evars, evals, (), ())
 
 
-def _plug(term: IntTerm, cstack: tuple, env: Env) -> IntTerm:
-    for entry in reversed(cstack):
-        match entry:
-            case PendingFn(term=t):
-                term = App(_resolve_term(t, env), term)
-            case ArgVal(value=v):
-                term = App(term, v)
-            case ProjFrame(index=i):
-                term = Proj(i, term)
-            case PartialTuple(pending=pending, done=done):
-                items = (
-                    tuple(_resolve_term(p, env) for p in pending) + (term,) + done
-                )
-                term = Tuple(items)
-            case _:
-                raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
-    return term
-
-
-def readback_itam(s: IState) -> IntTerm:
-    f = s.focus
-    if isinstance(f, Unev):
-        term = _resolve_term(f.term, s.env)
-    else:
-        term = f  # values are closed, the environment is irrelevant
-    term = _plug(term, s.cstack, s.env)
-    for caller_cstack, caller_env in reversed(s.astack):
-        term = _plug(term, caller_cstack, caller_env)
-    return term
-
-
-def _overhead(entries: tuple) -> int:
-    total = 0
-    for entry in entries:
-        match entry:
-            case PendingFn(term=t):
-                total += size_int(t)
-            case PartialTuple(pending=pending):
-                total += len(pending)
-                total += sum(size_int(p) for p in pending)
-            case _:
-                pass
-    return total
-
-
-def measure_itam(s: IState) -> int:
-    total = 0
-    if isinstance(s.focus, Unev):
-        total += size_int(s.focus.term)
-    total += _overhead(s.cstack)
-    for caller_cstack, _ in s.astack:
-        total += _overhead(caller_cstack)
-    return total
+step_itam, measure_itam, readback_itam = stacked_machine(
+    resolve=_resolve, install=_install, substitute=_substitute, size=size_int
+)
 
 
 def run_itam(t: IntTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

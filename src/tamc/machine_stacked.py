@@ -1,0 +1,237 @@
+"""The stacked abstract machine of the intermediate and target calculi.
+
+Unlike the source machine, this machine keeps a single environment for
+the code it is currently executing. Control stack entries therefore
+carry no environment of their own, and the machine never copies an
+environment: beta saves the caller's control stack and environment as
+one frame on the application stack, installs the callee's bindings as
+a fresh environment, and esea7 restores the caller when the callee's
+control stack drains.
+
+Closures carry their free-variable bindings in their bag, so the
+calculus values double as machine values. An unevaluated closure
+becomes a value in one usubw step that resolves its variable bag
+against the environment; evaluated closures always hold value bags,
+which is why open-closure applications cannot happen inside the
+machine once the initial term is closed.
+
+The two machines differ only in how the environment is represented
+and what that costs: `machine_int` holds the named representation and
+`machine_target` the positional one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .calculi import ClashKind
+from .machine_common import Cost, MachineFinal, MachineInvariantError, Transition
+from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag
+
+
+@dataclass(frozen=True, slots=True)
+class Unev:
+    term: object
+
+
+@dataclass(frozen=True, slots=True)
+class PendingFn:
+    term: object
+
+
+@dataclass(frozen=True, slots=True)
+class ArgVal:
+    value: object
+
+
+@dataclass(frozen=True, slots=True)
+class ProjFrame:
+    index: int
+
+
+@dataclass(frozen=True, slots=True)
+class PartialTuple:
+    pending: tuple  # still to evaluate, original order
+    done: tuple  # evaluated items, original order
+
+
+@dataclass(frozen=True, slots=True)
+class State:
+    focus: object  # Unev or a value
+    env: object  # as the environment representation defines it
+    cstack: tuple
+    astack: tuple  # of (cstack, env) caller frames, most recent last
+
+
+def stacked_machine(*, resolve, install, substitute, size):
+    """The (step, measure, readback) of the machine over one environment representation.
+
+    resolve(env, var) gives (value, scan position), the position being
+    the lookup cost; install(closure, args) gives (env, elem cost) for
+    ebeta, or None when args miss the closure's arity; substitute(term,
+    env) puts the whole environment into a term, for readback; size is
+    the term size the overhead measure counts.
+    """
+
+    def step(s: State) -> Transition | MachineFinal:
+        f = s.focus
+        if isinstance(f, Unev):
+            t = f.term
+            match t:
+                case App(fn=fn, arg=arg):
+                    return Transition(
+                        "usea1",
+                        State(Unev(arg), s.env, s.cstack + (PendingFn(fn),), s.astack),
+                        Cost(1),
+                    )
+                case Proj(index=i, arg=arg):
+                    return Transition(
+                        "usea2",
+                        State(Unev(arg), s.env, s.cstack + (ProjFrame(i),), s.astack),
+                        Cost(1),
+                    )
+                case Tuple(items=items) if items:
+                    entry = PartialTuple(items[:-1], ())
+                    return Transition(
+                        "usea3",
+                        State(Unev(items[-1]), s.env, s.cstack + (entry,), s.astack),
+                        Cost(1 + len(items)),
+                    )
+                case Tuple(items=()):
+                    return Transition(
+                        "usea4", State(Tuple(()), s.env, s.cstack, s.astack), Cost(1)
+                    )
+                case Var() | PVar():
+                    val, pos = resolve(s.env, t)
+                    return Transition(
+                        "usubv",
+                        State(val, s.env, s.cstack, s.astack),
+                        Cost(1 + pos, lookup=pos, subv_lookup=pos),
+                    )
+                # Both closure classes list their two binder fields, the
+                # body and the bag, in that order.
+                case Closure(w, p, b, VarBag(vs)) | TClosure(w, p, b, PVarBag(vs)):
+                    resolved = []
+                    scanned = 0
+                    for v in vs:
+                        val, pos = resolve(s.env, v)
+                        resolved.append(val)
+                        scanned += pos
+                    value = type(t)(w, p, b, ValBag(tuple(resolved)))
+                    return Transition(
+                        "usubw",
+                        State(value, s.env, s.cstack, s.astack),
+                        Cost(1 + len(vs), lookup=scanned),
+                    )
+                case Closure(bag=ValBag(vals=())) | TClosure(bag=ValBag(vals=())):
+                    # canonical empty bag, nothing to resolve
+                    return Transition(
+                        "usubw", State(t, s.env, s.cstack, s.astack), Cost(1)
+                    )
+                case Closure() | TClosure():
+                    raise MachineInvariantError("unevaluated closure with a non-empty value bag")
+            raise MachineInvariantError(f"not a stacked-machine term in focus: {t!r}")
+
+        if not s.cstack:
+            if not s.astack:
+                return MachineFinal("successful")
+            caller_cstack, caller_env = s.astack[-1]
+            return Transition(
+                "esea7",
+                State(f, caller_env, caller_cstack, s.astack[:-1]),
+                Cost(1),
+            )
+        head = s.cstack[-1]
+        rest = s.cstack[:-1]
+        match head:
+            case PendingFn(term=t):
+                return Transition(
+                    "esea1",
+                    State(Unev(t), s.env, rest + (ArgVal(f),), s.astack),
+                    Cost(1),
+                )
+            case PartialTuple(pending=pending, done=done):
+                if pending:
+                    entry = PartialTuple(pending[:-1], (f,) + done)
+                    return Transition(
+                        "esea6",
+                        State(Unev(pending[-1]), s.env, rest + (entry,), s.astack),
+                        Cost(1),
+                    )
+                items = (f,) + done
+                return Transition(
+                    "esea3", State(Tuple(items), s.env, rest, s.astack), Cost(1 + len(items))
+                )
+            case ProjFrame(index=i):
+                if isinstance(f, Tuple) and 1 <= i <= len(f.items):
+                    return Transition(
+                        "epi", State(f.items[i - 1], s.env, rest, s.astack), Cost(1)
+                    )
+                return MachineFinal("clash", ClashKind.PROJECTION)
+            case ArgVal(value=v):
+                if isinstance(f, Tuple):
+                    return MachineFinal("clash", ClashKind.TUPLE)
+                if isinstance(f, (Closure, TClosure)):
+                    if not isinstance(f.bag, ValBag):
+                        raise MachineInvariantError("applied closure still has a variable bag")
+                    installed = install(f, v.items) if isinstance(v, Tuple) else None
+                    if installed is not None:
+                        env, elem = installed
+                        return Transition(
+                            "ebeta",
+                            State(Unev(f.body), env, (), s.astack + ((rest, s.env),)),
+                            Cost(elem),
+                        )
+                    return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
+        raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+
+    def _plug(term, cstack: tuple, env):
+        for entry in reversed(cstack):
+            match entry:
+                case PendingFn(term=t):
+                    term = App(substitute(t, env), term)
+                case ArgVal(value=v):
+                    term = App(term, v)
+                case ProjFrame(index=i):
+                    term = Proj(i, term)
+                case PartialTuple(pending=pending, done=done):
+                    items = tuple(substitute(p, env) for p in pending) + (term,) + done
+                    term = Tuple(items)
+                case _:
+                    raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
+        return term
+
+    def readback(s: State):
+        f = s.focus
+        if isinstance(f, Unev):
+            term = substitute(f.term, s.env)
+        else:
+            term = f  # values are closed, the environment is irrelevant
+        term = _plug(term, s.cstack, s.env)
+        for caller_cstack, caller_env in reversed(s.astack):
+            term = _plug(term, caller_cstack, caller_env)
+        return term
+
+    def _overhead(entries: tuple) -> int:
+        total = 0
+        for entry in entries:
+            match entry:
+                case PendingFn(term=t):
+                    total += size(t)
+                case PartialTuple(pending=pending):
+                    total += len(pending)
+                    total += sum(size(p) for p in pending)
+                case _:
+                    pass
+        return total
+
+    def measure(s: State) -> int:
+        total = 0
+        if isinstance(s.focus, Unev):
+            total += size(s.focus.term)
+        total += _overhead(s.cstack)
+        for caller_cstack, _ in s.astack:
+            total += _overhead(caller_cstack)
+        return total
+
+    return step, measure, readback

@@ -1,30 +1,25 @@
-"""Tupled abstract machine for the target calculus.
+"""Stacked machine for the target calculus: the positional environment.
 
-Same architecture as the intermediate machine (single environment,
-application stack of caller frames), but the environment is a pair of
-positional tuples: the wrapped values and the parameter values of the
-closure being executed. Indexed variables resolve by position, so a
-variable lookup costs one unit regardless of the environment size, and
-beta installs the two tuples by reference instead of building
-bindings one by one. Those two facts are the machine's reason to
-exist; the bench harness measures them.
+The environment is a pair of positional tuples, the wrapped values and
+the parameter values of the closure being executed. An indexed
+variable resolves by position, so a lookup costs one unit whatever the
+environment size; ebeta installs the closure's value bag and the
+argument tuple by reference and costs 1. Those two costs are this
+representation's reason to exist; the bench harness measures them.
+The machine itself is `machine_stacked`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculi import DEFAULT_FUEL, ClashKind, psubst_target
-from .machine_common import Cost, MachineFinal, MachineInvariantError, RunRecord, Transition, run_loop
+from .calculi import DEFAULT_FUEL, psubst_target
+from .machine_common import MachineInvariantError, RunRecord, run_loop
+from .machine_stacked import State, Unev, stacked_machine
 from .terms import (
-    App,
-    Proj,
     PVar,
-    PVarBag,
     TClosure,
     TargetTerm,
-    Tuple,
-    ValBag,
     closed_target,
     prime_target,
     size_target,
@@ -41,229 +36,43 @@ class TupledEnv:
 EMPTY_ENV = TupledEnv((), ())
 
 
-@dataclass(frozen=True, slots=True)
-class Unev:
-    term: TargetTerm
-
-
-@dataclass(frozen=True, slots=True)
-class PendingFn:
-    term: TargetTerm
-
-
-@dataclass(frozen=True, slots=True)
-class ArgVal:
-    value: TargetTerm
-
-
-@dataclass(frozen=True, slots=True)
-class ProjFrame:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class PartialTuple:
-    pending: tuple
-    done: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class TState:
-    focus: object  # Unev or a target value
-    env: TupledEnv
-    cstack: tuple
-    astack: tuple  # of (cstack, env) caller frames, most recent last
-
-
-def init_ttam(t: TargetTerm) -> TState:
+def init_ttam(t: TargetTerm) -> State:
     if not well_formed_target(t):
         raise ValueError("initial term must be well formed")
     if not closed_target(t):
         raise ValueError("initial term must be closed")
     if not prime_target(t):
         raise ValueError("initial term must have variable bags only")
-    return TState(Unev(t), EMPTY_ENV, (), ())
+    return State(Unev(t), EMPTY_ENV, (), ())
 
 
-def _resolve(env: TupledEnv, pv: PVar):
+def _resolve(env: TupledEnv, pv: PVar) -> tuple:
+    """Return (value, 1): positional access has no scan."""
     vals = env.lvals if pv.base == "l" else env.svals
     if not 1 <= pv.index <= len(vals):
         raise MachineInvariantError(f"indexed variable pi{pv.index} {pv.base} out of range")
-    return vals[pv.index - 1]
+    return vals[pv.index - 1], 1
 
 
-def step_ttam(s: TState) -> Transition | MachineFinal:
-    f = s.focus
-    if isinstance(f, Unev):
-        t = f.term
-        match t:
-            case App(fn=fn, arg=arg):
-                return Transition(
-                    "usea1",
-                    TState(Unev(arg), s.env, s.cstack + (PendingFn(fn),), s.astack),
-                    Cost(1),
-                )
-            case Proj(index=i, arg=arg):
-                return Transition(
-                    "usea2",
-                    TState(Unev(arg), s.env, s.cstack + (ProjFrame(i),), s.astack),
-                    Cost(1),
-                )
-            case Tuple(items=items) if items:
-                entry = PartialTuple(items[:-1], ())
-                return Transition(
-                    "usea3",
-                    TState(Unev(items[-1]), s.env, s.cstack + (entry,), s.astack),
-                    Cost(1 + len(items)),
-                )
-            case Tuple(items=()):
-                return Transition(
-                    "usea4", TState(Tuple(()), s.env, s.cstack, s.astack), Cost(1)
-                )
-            case TClosure(n_wrapped=n, n_params=m, body=b, bag=bag):
-                match bag:
-                    case PVarBag(pvars=pvs):
-                        resolved = tuple(_resolve(s.env, pv) for pv in pvs)
-                        value = TClosure(n, m, b, ValBag(resolved))
-                        return Transition(
-                            "usubw",
-                            TState(value, s.env, s.cstack, s.astack),
-                            Cost(1 + len(pvs), lookup=len(pvs)),
-                        )
-                    case ValBag(vals=()):
-                        return Transition(
-                            "usubw", TState(t, s.env, s.cstack, s.astack), Cost(1)
-                        )
-                raise MachineInvariantError("unevaluated closure with a non-empty value bag")
-            case PVar():
-                val = _resolve(s.env, t)
-                return Transition(
-                    "usubv",
-                    TState(val, s.env, s.cstack, s.astack),
-                    Cost(2, lookup=1, subv_lookup=1),
-                )
-        raise MachineInvariantError(f"not a target term in focus: {t!r}")
-
-    if not s.cstack:
-        if not s.astack:
-            return MachineFinal("successful")
-        caller_cstack, caller_env = s.astack[-1]
-        return Transition(
-            "esea7",
-            TState(f, caller_env, caller_cstack, s.astack[:-1]),
-            Cost(1),
-        )
-    head = s.cstack[-1]
-    rest = s.cstack[:-1]
-    match head:
-        case PendingFn(term=t):
-            return Transition(
-                "esea1",
-                TState(Unev(t), s.env, rest + (ArgVal(f),), s.astack),
-                Cost(1),
-            )
-        case PartialTuple(pending=pending, done=done):
-            if pending:
-                entry = PartialTuple(pending[:-1], (f,) + done)
-                return Transition(
-                    "esea6",
-                    TState(Unev(pending[-1]), s.env, rest + (entry,), s.astack),
-                    Cost(1),
-                )
-            items = (f,) + done
-            return Transition(
-                "esea3", TState(Tuple(items), s.env, rest, s.astack), Cost(1 + len(items))
-            )
-        case ProjFrame(index=i):
-            if isinstance(f, Tuple) and 1 <= i <= len(f.items):
-                return Transition(
-                    "epi", TState(f.items[i - 1], s.env, rest, s.astack), Cost(1)
-                )
-            return MachineFinal("clash", ClashKind.PROJECTION)
-        case ArgVal(value=v):
-            if isinstance(f, Tuple):
-                return MachineFinal("clash", ClashKind.TUPLE)
-            if isinstance(f, TClosure):
-                if not isinstance(f.bag, ValBag):
-                    raise MachineInvariantError("applied closure still has a variable bag")
-                # The arity check reads the annotation, not the parameter list:
-                # there is no parameter list left to read.
-                if isinstance(v, Tuple) and len(v.items) == f.n_params:
-                    if len(f.bag.vals) != f.n_wrapped:
-                        raise MachineInvariantError("closure bag does not match its annotation")
-                    return Transition(
-                        "ebeta",
-                        TState(
-                            Unev(f.body),
-                            TupledEnv(f.bag.vals, v.items),
-                            (),
-                            s.astack + ((rest, s.env),),
-                        ),
-                        Cost(1),
-                    )
-                return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
-    raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+def _install(f: TClosure, args: tuple):
+    # The arity check reads the annotation, not the parameter list:
+    # there is no parameter list left to read.
+    if len(args) != f.n_params:
+        return None
+    if len(f.bag.vals) != f.n_wrapped:
+        raise MachineInvariantError("closure bag does not match its annotation")
+    return TupledEnv(f.bag.vals, args), 1
 
 
-def _resolve_term(t: TargetTerm, env: TupledEnv) -> TargetTerm:
+def _substitute(t: TargetTerm, env: TupledEnv) -> TargetTerm:
     if not env.lvals and not env.svals:
         return t
     return psubst_target(t, env.lvals, env.svals)
 
 
-def _plug(term: TargetTerm, cstack: tuple, env: TupledEnv) -> TargetTerm:
-    for entry in reversed(cstack):
-        match entry:
-            case PendingFn(term=t):
-                term = App(_resolve_term(t, env), term)
-            case ArgVal(value=v):
-                term = App(term, v)
-            case ProjFrame(index=i):
-                term = Proj(i, term)
-            case PartialTuple(pending=pending, done=done):
-                items = (
-                    tuple(_resolve_term(p, env) for p in pending) + (term,) + done
-                )
-                term = Tuple(items)
-            case _:
-                raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
-    return term
-
-
-def readback_ttam(s: TState) -> TargetTerm:
-    f = s.focus
-    if isinstance(f, Unev):
-        term = _resolve_term(f.term, s.env)
-    else:
-        term = f  # values are closed
-    term = _plug(term, s.cstack, s.env)
-    for caller_cstack, caller_env in reversed(s.astack):
-        term = _plug(term, caller_cstack, caller_env)
-    return term
-
-
-def _overhead(entries: tuple) -> int:
-    total = 0
-    for entry in entries:
-        match entry:
-            case PendingFn(term=t):
-                total += size_target(t)
-            case PartialTuple(pending=pending):
-                total += len(pending)
-                total += sum(size_target(p) for p in pending)
-            case _:
-                pass
-    return total
-
-
-def measure_ttam(s: TState) -> int:
-    total = 0
-    if isinstance(s.focus, Unev):
-        total += size_target(s.focus.term)
-    total += _overhead(s.cstack)
-    for caller_cstack, _ in s.astack:
-        total += _overhead(caller_cstack)
-    return total
+step_ttam, measure_ttam, readback_ttam = stacked_machine(
+    resolve=_resolve, install=_install, substitute=_substitute, size=size_target
+)
 
 
 def run_ttam(t: TargetTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

@@ -607,6 +607,3 @@ def alpha_eq_int(a: IntTerm, b: IntTerm) -> bool:
         return False
 
     return go(a, b, _Binds(), _Binds())
-
-
-alpha_eq = alpha_eq_int

@@ -1,0 +1,31 @@
+"""CLI outputs pinned byte for byte.
+
+The files under tests/data were written by `tamc bench --family F
+--n-max 8` and `tamc run corpus/mixed-pipeline.lam --machine M
+--trace` before the intermediate and target machines were merged into
+one stacked machine. They pin the cost model (the bench counters) and
+the trace format: a change to either shows up here first.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tamc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+
+@pytest.mark.parametrize("family", ["tuple-explosion", "fun-explosion", "quadratic-wrap"])
+def test_bench_csv_is_unchanged(family, capsysbinary):
+    assert main(["bench", "--family", family, "--n-max", "8"]) == 0
+    assert capsysbinary.readouterr().out == (DATA / f"bench-{family}-n8.csv").read_bytes()
+
+
+@pytest.mark.parametrize("machine", ["source", "int", "target"])
+def test_run_trace_is_unchanged(machine, capsysbinary):
+    program = str(ROOT / "corpus" / "mixed-pipeline.lam")
+    assert main(["run", program, "--machine", machine, "--trace"]) == 0
+    want = (DATA / f"run-mixed-pipeline-{machine}-trace.txt").read_bytes()
+    assert capsysbinary.readouterr().out == want
