@@ -21,6 +21,21 @@ needed. naming mints fresh names, hence the alpha comparison there.
 Fuel counts calculus steps for interpreters and transitions for
 machines, so machines get a generous multiple; if an interpreter run
 exhausts its fuel the machine walks check the common prefix and stop.
+
+Each walk reads back every state in full and compares it, but one
+readback memo serves the whole walk, so a readback reuses what earlier
+ones built instead of rebuilding the term from nothing: the stacked
+machines reuse substitutions, keyed by the identities of the term and
+the environment, and the list of activation frames with a non-empty
+control stack, keyed by the identity of the activation stack; the
+source machine reuses read-back values, keyed by their identity. This
+is sound because every memo entry holds its key objects, so no id is
+reused while the memo lives; terms, environments, values and stack
+tuples are immutable; and substitution and plugging are pure. A hit
+therefore returns exactly what recomputing would, and a transition
+that builds a different stack or environment builds new objects, which
+miss. The memo is dropped when the walk ends. Reading back without a
+memo recomputes everything and is the oracle the tests compare with.
 """
 
 from __future__ import annotations
@@ -108,7 +123,8 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
     failures = []
     state = init
     j = 0
-    rb = readback(state)
+    memo: dict = {}  # shared by this walk's readbacks only
+    rb = readback(state, memo)
     if rb != terms[0]:
         failures.append(f"{name}: initial readback differs")
         return failures, None, False
@@ -129,7 +145,7 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
                         f"{name}: clash kind {r.clash.value} vs interpreter {outcome[1].value}"
                     )
             return failures, r.clash, True
-        nxt_rb = readback(r.state)
+        nxt_rb = readback(r.state, memo)
         if r.name in ("ebeta", "epi"):
             want = "beta" if r.name == "ebeta" else "pi"
             if j >= len(labels):

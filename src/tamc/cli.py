@@ -219,9 +219,13 @@ def _cmd_bisim(args) -> int:
     fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_BISIM_FUEL)
     if fuel is None or fuel <= 0:
         return _fail_usage("fuel must be a positive integer")
+    if args.count < 0:
+        return _fail_usage("count must be a non-negative integer")
     terms = []
     if args.files:
         for path in args.files:
+            # main names args.file when the input is nested too deeply
+            args.file = path
             t = _read_term(path)
             if isinstance(t, int):
                 return t
@@ -231,7 +235,9 @@ def _cmd_bisim(args) -> int:
     else:
         terms = gen_corpus(GenConfig(seed=args.seed), args.count)
     bad = 0
-    for t in terms:
+    for k, t in enumerate(terms):
+        if args.files:
+            args.file = args.files[k]
         rep = bisim_check(t, fuel=fuel)
         print(rep.summary())
         if not rep.ok:
@@ -246,6 +252,8 @@ def _cmd_bench(args) -> int:
     fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_FUEL)
     if fuel is None or fuel <= 0:
         return _fail_usage("fuel must be a positive integer")
+    if args.n_max < 0:
+        return _fail_usage("n-max must be a non-negative integer")
     ns = range(1, args.n_max + 1)
     rows = bench(args.family, ns, fuel=fuel)
     if args.machine != "all":

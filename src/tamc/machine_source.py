@@ -165,12 +165,18 @@ def step_stam(s: SState) -> Transition | MachineFinal:
 
 
 def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
+    """The source term of machine value v.
+
+    memo maps id(v) to (v, its read-back term) for every value read
+    back so far; holding v keeps its id from being reused, so one memo
+    can serve several readbacks.
+    """
     if memo is None:
         memo = {}
     key = id(v)
     hit = memo.get(key)
     if hit is not None:
-        return hit
+        return hit[1]
     match v:
         case SClos(abs=ab, env=env):
             out = _env_subst(ab, env, memo)
@@ -178,7 +184,7 @@ def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
             out = Tuple(tuple(readback_value(i, memo) for i in items))
         case _:
             raise MachineInvariantError(f"not a machine value: {v!r}")
-    memo[key] = out
+    memo[key] = (v, out)
     return out
 
 
@@ -214,8 +220,15 @@ def _env_subst(t: SourceTerm, env: Env, memo: dict) -> SourceTerm:
     return walk(t, frozenset())
 
 
-def readback_stam(s: SState) -> SourceTerm:
-    memo: dict = {}
+def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
+    """The term that state s stands for.
+
+    memo is the readback_value memo; pass one dict to every readback
+    of one run to reuse the values read back before. Without one each
+    readback starts afresh.
+    """
+    if memo is None:
+        memo = {}
     f = s.focus
     if isinstance(f, Unev):
         term = _env_subst(f.term, f.env, memo)

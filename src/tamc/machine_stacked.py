@@ -185,31 +185,60 @@ def stacked_machine(*, resolve, install, substitute, size):
                     return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
         raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
 
-    def _plug(term, cstack: tuple, env):
+    def _plug(term, cstack: tuple, env, sub):
         for entry in reversed(cstack):
             match entry:
                 case PendingFn(term=t):
-                    term = App(substitute(t, env), term)
+                    term = App(sub(t, env), term)
                 case ArgVal(value=v):
                     term = App(term, v)
                 case ProjFrame(index=i):
                     term = Proj(i, term)
                 case PartialTuple(pending=pending, done=done):
-                    items = tuple(substitute(p, env) for p in pending) + (term,) + done
+                    items = tuple(sub(p, env) for p in pending) + (term,) + done
                     term = Tuple(items)
                 case _:
                     raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
         return term
 
-    def readback(s: State):
+    def readback(s: State, memo: dict | None = None):
+        """The term that state s stands for.
+
+        memo, when given, is a dict that one caller passes to every
+        readback of one run, and lets a readback reuse what earlier
+        ones built: (id(term), id(env)) maps to (term, env,
+        substitute(term, env)), and id(astack) maps to (astack, its
+        frames with a non-empty control stack, innermost first).
+        Holding the keyed objects keeps their ids from being reused
+        while the memo lives; terms, environments and stacks are
+        immutable and substitute is pure, so a hit is what recomputing
+        would give. Without a memo nothing is reused.
+        """
+        if memo is None:
+            sub = substitute
+            frames = reversed(s.astack)
+        else:
+
+            def sub(t, env):
+                key = (id(t), id(env))
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = (t, env, substitute(t, env))
+                return hit[2]
+
+            hit = memo.get(id(s.astack))
+            if hit is None:
+                live = [frame for frame in reversed(s.astack) if frame[0]]
+                hit = memo[id(s.astack)] = (s.astack, live)
+            frames = hit[1]
         f = s.focus
         if isinstance(f, Unev):
-            term = substitute(f.term, s.env)
+            term = sub(f.term, s.env)
         else:
             term = f  # values are closed, the environment is irrelevant
-        term = _plug(term, s.cstack, s.env)
-        for caller_cstack, caller_env in reversed(s.astack):
-            term = _plug(term, caller_cstack, caller_env)
+        term = _plug(term, s.cstack, s.env, sub)
+        for caller_cstack, caller_env in frames:
+            term = _plug(term, caller_cstack, caller_env, sub)
         return term
 
     def _overhead(entries: tuple) -> int:

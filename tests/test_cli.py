@@ -197,3 +197,37 @@ def test_usage_errors():
     assert main(["frobnicate"]) == 2
     assert main(["bench"]) == 2
     assert main(["convert", lam("identity.lam")]) == 2
+
+
+def test_negative_sizes_are_usage_errors(capsys):
+    assert main(["bisim", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: count must be a non-negative integer\n"
+    assert main(["bench", "--family", "quadratic-wrap", "--n-max", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: n-max must be a non-negative integer\n"
+
+
+def test_zero_sizes_stay_valid(capsys):
+    assert main(["bisim", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "0/0 agreed\n"
+    assert main(["bench", "--family", "quadratic-wrap", "--n-max", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["family,n,machine,size,width,height,beta,pi,total,elem_ops,env_copy_ops,lookup_ops"]
+
+
+def test_bisim_names_the_file_whose_check_is_nested_too_deeply(monkeypatch, capsys):
+    deep = parse(Path(lam("deep-tuples.lam")).read_text())
+
+    def check(t, fuel):
+        if t == deep:
+            raise RecursionError("maximum recursion depth exceeded")
+        return BisimReport(t, True, (), "value", 0, 0)
+
+    monkeypatch.setattr("tamc.cli.bisim_check", check)
+    assert main(["bisim", lam("identity.lam"), lam("deep-tuples.lam")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ok ")
+    assert captured.err == f"tamc: {lam('deep-tuples.lam')}: input nested too deeply\n"

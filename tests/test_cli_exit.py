@@ -44,3 +44,21 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"tamc: {path}: input nested too deeply\n"
+
+
+def test_bisim_names_the_file_nested_too_deeply(tmp_path):
+    (tmp_path / "deep.lam").write_text("<" * 2000 + "fun(x) -> x" + ">" * 2000 + "\n")
+    identity = str(ROOT / "corpus" / "apply-identity.lam")
+    env = dict(os.environ)
+    src = str(Path(tamc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamc.cli", "bisim", identity, "deep.lam"],
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"tamc: deep.lam: input nested too deeply\n"
