@@ -16,10 +16,10 @@ The three families stress different costs:
 
 Checkers take RunRecords and evaluate the transition-match
 inequality, the bilinear transition bound, and the per-transition
-overhead-measure clauses. The unfolded-size functions compute the
-size of the source term a machine result denotes without building
-that term, which is what makes the explosion families checkable at
-n = 18.
+overhead-measure clauses. One unfolded-size function, serving the
+intermediate and target calculi alike, computes the size of the
+source term a machine result denotes without building that term,
+which is what makes the explosion families checkable at n = 18.
 """
 
 from __future__ import annotations
@@ -212,11 +212,13 @@ def audit_measure(rec: RunRecord, machine: str, initial_size: int) -> bool:
     return not measure_violations(rec, machine, initial_size)
 
 
-def unfolded_size_from_int(t: IntTerm) -> int:
-    """Size of the source term this intermediate term unwraps to.
+def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
+    """Size of the source term this intermediate or target term unwraps to.
 
     Computed over the shared structure: closure bodies are costed with
-    a per-variable size map instead of substituting, and closed values
+    a size map from each wrapped variable (its name, or for a target
+    closure its l-index) to its bag entry's size, instead of
+    substituting; parameters and s-projections count 1. Closed values
     are memoized by object identity, so exponentially unfolded results
     stay cheap to measure.
     """
@@ -232,66 +234,36 @@ def unfolded_size_from_int(t: IntTerm) -> int:
         return out
 
     def term_size(t, sizes: dict) -> int:
+        # tuples first: the unfolded explosion results are mostly tuple nodes
         match t:
+            case Tuple(items=items):
+                return len(items) + sum(term_size(i, sizes) for i in items)
             case Var(name=name):
                 return sizes.get(name, 1)
+            case PVar(base=base, index=i):
+                return sizes.get(i, 1) if base == "l" else 1
             case Closure(wrapped=w, params=p, body=b, bag=bag):
-                match bag:
-                    case ValBag(vals=vals):
-                        entry_sizes = [value_size(v) for v in vals]
-                    case VarBag(vars=vs):
-                        entry_sizes = [sizes.get(v.name, 1) for v in vs]
-                inner = {var.name: s for var, s in zip(w, entry_sizes)}
-                inner.update((pv.name, 1) for pv in p)
-                return 1 + len(p) + term_size(b, inner)
+                keys = [v.name for v in w]
+                m = len(p)
+            case TClosure(n_wrapped=n, n_params=m, body=b, bag=bag):
+                keys = range(1, n + 1)
             case App(fn=fn, arg=arg):
                 return 1 + term_size(fn, sizes) + term_size(arg, sizes)
             case Proj(arg=arg):
                 return 1 + term_size(arg, sizes)
-            case Tuple(items=items):
-                return len(items) + sum(term_size(i, sizes) for i in items)
-        raise TypeError(f"not an intermediate term: {t!r}")
+            case _:
+                raise TypeError(f"not an intermediate or target term: {t!r}")
+        match bag:
+            case ValBag(vals=vals):
+                inner = {k: value_size(v) for k, v in zip(keys, vals)}
+            case VarBag(vars=vs) | PVarBag(pvars=vs):
+                inner = {k: term_size(v, sizes) for k, v in zip(keys, vs)}
+        return 1 + m + term_size(b, inner)
 
     return term_size(t, {})
 
 
-def unfolded_size_from_target(t: TargetTerm) -> int:
-    """Target twin of unfolded_size_from_int, with positional size maps."""
-    memo: dict[int, int] = {}
-
-    def value_size(v) -> int:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = term_size(v, (), ())
-        memo[key] = out
-        return out
-
-    def term_size(t, lsizes: tuple, ssizes: tuple) -> int:
-        match t:
-            case PVar(base=base, index=i):
-                arr = lsizes if base == "l" else ssizes
-                return arr[i - 1]
-            case TClosure(n_params=m, body=b, bag=bag):
-                match bag:
-                    case ValBag(vals=vals):
-                        entry_sizes = tuple(value_size(v) for v in vals)
-                    case PVarBag(pvars=pvs):
-                        entry_sizes = tuple(
-                            (lsizes if pv.base == "l" else ssizes)[pv.index - 1]
-                            for pv in pvs
-                        )
-                return 1 + m + term_size(b, entry_sizes, (1,) * m)
-            case App(fn=fn, arg=arg):
-                return 1 + term_size(fn, lsizes, ssizes) + term_size(arg, lsizes, ssizes)
-            case Proj(arg=arg):
-                return 1 + term_size(arg, lsizes, ssizes)
-            case Tuple(items=items):
-                return len(items) + sum(term_size(i, lsizes, ssizes) for i in items)
-        raise TypeError(f"not a target term: {t!r}")
-
-    return term_size(t, (), ())
+unfolded_size_from_target = unfolded_size_from_int
 
 
 @dataclass(frozen=True, slots=True)

@@ -158,6 +158,37 @@ def subst_source(t: SourceTerm, params: tuple, vals: tuple) -> SourceTerm:
     return subst_source_any(t, mapping)
 
 
+def _subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
+    """Resolve every variable outside closure bodies to a value.
+
+    Closure bodies are never entered, only their bags are rewritten:
+    a variable bag becomes the value bag of its resolved entries. So no
+    capture can occur.
+    """
+
+    def go(t):
+        match t:
+            case Var() | PVar():
+                return resolve(t)
+            # w and p are the binder lists of a Closure, the arities of a TClosure
+            case Closure(w, p, body, bag) | TClosure(w, p, body, bag):
+                match bag:
+                    case VarBag(vs) | PVarBag(vs):
+                        new_bag = ValBag(tuple(resolve(v) for v in vs))
+                    case ValBag(vals):
+                        new_bag = ValBag(tuple(go(v) for v in vals))
+                return type(t)(w, p, body, new_bag)
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Proj(i, arg):
+                return Proj(i, go(arg))
+            case Tuple(items):
+                return Tuple(tuple(go(it) for it in items))
+        raise TypeError(f"not an intermediate or target term: {t!r}")
+
+    return go(t)
+
+
 def subst_int(
     t: IntTerm,
     wrapped: tuple,
@@ -168,9 +199,8 @@ def subst_int(
     """Simultaneous substitution for the intermediate calculus.
 
     Replaces the wrapped variables with the bag values and the params
-    with the argument values. Closure bodies are never entered, only
-    their bags are rewritten, so no capture can occur; the term's free
-    variables must all be covered.
+    with the argument values, outside closure bodies (see _subst_bags);
+    the term's free variables must all be covered.
     """
     if len(wrapped) != len(bagvals) or len(params) != len(argvals):
         raise ValueError("substitution groups must pair up exactly")
@@ -185,34 +215,15 @@ def subst_int(
             raise ValueError(f"free variable {v.name} not covered by the substitution")
         return r
 
-    def go(t):
-        match t:
-            case Var(_):
-                return lookup(t)
-            case Closure(w, p, body, bag):
-                match bag:
-                    case VarBag(vs):
-                        new_bag = ValBag(tuple(lookup(v) for v in vs))
-                    case ValBag(vals):
-                        new_bag = ValBag(tuple(go(v) for v in vals))
-                return Closure(w, p, body, new_bag)
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Proj(i, arg):
-                return Proj(i, go(arg))
-            case Tuple(items):
-                return Tuple(tuple(go(it) for it in items))
-        raise TypeError(f"not an intermediate term: {t!r}")
-
-    return go(t)
+    return _subst_bags(t, lookup)
 
 
 def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
     """Projecting substitution: resolve indexed variables on the fly.
 
-    pi_i l becomes lvals[i-1] and pi_j s becomes svals[j-1]; closure
-    bodies are untouched, bags are rewritten. The supplied tuples must
-    cover the term's norms.
+    pi_i l becomes lvals[i-1] and pi_j s becomes svals[j-1], outside
+    closure bodies (see _subst_bags). The supplied tuples must cover
+    the term's norms.
     """
 
     def resolve(p: PVar):
@@ -221,37 +232,19 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
             raise ValueError(f"pi{p.index} {p.base} outside the supplied {len(vals)} values")
         return vals[p.index - 1]
 
-    def go(t):
-        match t:
-            case PVar(_, _):
-                return resolve(t)
-            case TClosure(n, m, body, bag):
-                match bag:
-                    case PVarBag(ps):
-                        new_bag = ValBag(tuple(resolve(p) for p in ps))
-                    case ValBag(vals):
-                        new_bag = ValBag(tuple(go(v) for v in vals))
-                return TClosure(n, m, body, new_bag)
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Proj(i, arg):
-                return Proj(i, go(arg))
-            case Tuple(items):
-                return Tuple(tuple(go(it) for it in items))
-        raise TypeError(f"not a target term: {t!r}")
-
-    return go(t)
+    return _subst_bags(t, resolve)
 
 
 _VALUE = ValueOutcome()
 
 
-def _stepper(is_abs_value, apply_root, stuck_leaf):
+def _stepper(is_abs_value, apply_root):
     """Build a step function from the calculus-specific pieces.
 
     is_abs_value: classify the non-shared leaf constructors as value or
-    stuck; apply_root: handle an application whose sides are values;
-    stuck_leaf: outcome for a leaf in redex position.
+    stuck; apply_root: handle an application whose sides are values.
+    A leaf in redex position that is not a value (a variable) is
+    OpenStuck.
     """
 
     def step(t):
@@ -299,7 +292,7 @@ def _stepper(is_abs_value, apply_root, stuck_leaf):
                     return _VALUE
             if is_abs_value(t):
                 return _VALUE
-            return stuck_leaf(t, path)
+            return OpenStuckOutcome(t, path)
 
         return go(t, ())
 
@@ -354,23 +347,9 @@ def _target_root(fn, arg, path):
     raise AssertionError(f"unexpected value in function position: {fn!r}")
 
 
-step_source = _stepper(
-    lambda t: isinstance(t, Abs),
-    _source_root,
-    lambda t, path: OpenStuckOutcome(t, path),
-)
-
-step_int = _stepper(
-    lambda t: isinstance(t, Closure),
-    _int_root,
-    lambda t, path: OpenStuckOutcome(t, path),
-)
-
-step_target = _stepper(
-    lambda t: isinstance(t, TClosure),
-    _target_root,
-    lambda t, path: OpenStuckOutcome(t, path),
-)
+step_source = _stepper(lambda t: isinstance(t, Abs), _source_root)
+step_int = _stepper(lambda t: isinstance(t, Closure), _int_root)
+step_target = _stepper(lambda t: isinstance(t, TClosure), _target_root)
 
 
 def _normalize(step, t, fuel: int) -> NormalizeResult:

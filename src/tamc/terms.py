@@ -196,43 +196,34 @@ def metrics(t: SourceTerm) -> TermMetrics:
     return TermMetrics(size, width, height)
 
 
-def size_int(t: IntTerm) -> int:
-    """Size of an intermediate term.
+def size_int(t: IntTerm | TargetTerm) -> int:
+    """Size of an intermediate or target term.
 
-    A closure counts its body plus both binder list lengths; a
-    variable bag adds nothing on top of that (its length equals the
-    wrapped count), while value bags add their values' sizes.
+    A closure counts its body plus both binder counts (len(wrapped) +
+    len(params), or n + m); a variable bag adds nothing on top of that
+    (its length equals the wrapped count), while value bags add their
+    values' sizes.
     """
     match t:
-        case Var(_):
+        case Var() | PVar():
             return 1
         case Closure(wrapped, params, body, bag):
-            extra = sum(size_int(v) for v in bag.vals) if isinstance(bag, ValBag) else 0
-            return size_int(body) + len(wrapped) + len(params) + extra
+            binders = len(wrapped) + len(params)
+        case TClosure(n, m, body, bag):
+            binders = n + m
         case App(fn, arg):
             return size_int(fn) + size_int(arg) + 1
         case Proj(_, arg):
             return size_int(arg) + 1
         case Tuple(items):
             return len(items) + sum(size_int(it) for it in items)
-    raise TypeError(f"not an intermediate term: {t!r}")
+        case _:
+            raise TypeError(f"not an intermediate or target term: {t!r}")
+    extra = sum(size_int(v) for v in bag.vals) if isinstance(bag, ValBag) else 0
+    return size_int(body) + binders + extra
 
 
-def size_target(t: TargetTerm) -> int:
-    """Size of a target term; mirrors size_int with |closure| = |body| + n + m."""
-    match t:
-        case PVar(_, _):
-            return 1
-        case TClosure(n, m, body, bag):
-            extra = sum(size_target(v) for v in bag.vals) if isinstance(bag, ValBag) else 0
-            return size_target(body) + n + m + extra
-        case App(fn, arg):
-            return size_target(fn) + size_target(arg) + 1
-        case Proj(_, arg):
-            return size_target(arg) + 1
-        case Tuple(items):
-            return len(items) + sum(size_target(it) for it in items)
-    raise TypeError(f"not a target term: {t!r}")
+size_target = size_int
 
 
 def shared_size_source(t: SourceTerm) -> int:
@@ -342,40 +333,24 @@ def free_vars(t: SourceTerm | IntTerm) -> tuple[Var, ...]:
     return tuple(seen)
 
 
-def is_closed_source(t: SourceTerm) -> bool:
+def is_closed_source(t: SourceTerm | IntTerm) -> bool:
     return not free_vars(t)
 
 
-def closed_int(t: IntTerm) -> bool:
-    return not free_vars(t)
+closed_int = is_closed_source
 
 
-def is_value_source(t: SourceTerm) -> bool:
+def is_value_source(t: AnyTerm) -> bool:
+    """Values are abstractions, closures whatever their bag, and tuples of values."""
     match t:
-        case Abs(_, _):
+        case Abs() | Closure() | TClosure():
             return True
         case Tuple(items):
             return all(is_value_source(it) for it in items)
     return False
 
 
-def is_value_int(t: IntTerm) -> bool:
-    # every closure is a value, whichever bag it carries
-    match t:
-        case Closure(_, _, _, _):
-            return True
-        case Tuple(items):
-            return all(is_value_int(it) for it in items)
-    return False
-
-
-def is_value_target(t: TargetTerm) -> bool:
-    match t:
-        case TClosure(_, _, _, _):
-            return True
-        case Tuple(items):
-            return all(is_value_target(it) for it in items)
-    return False
+is_value_int = is_value_target = is_value_source
 
 
 def well_formed_int(t: IntTerm) -> bool:
@@ -413,24 +388,25 @@ def well_formed_int(t: IntTerm) -> bool:
     raise TypeError(f"not an intermediate term: {t!r}")
 
 
-def prime_int(t: IntTerm) -> bool:
+def prime_int(t: IntTerm | TargetTerm) -> bool:
     """True when every bag in the term is a variable bag (empty counts)."""
     match t:
-        case Var(_):
+        case Var() | PVar():
             return True
-        case Closure(_, _, body, bag):
-            match bag:
-                case VarBag(_):
-                    return prime_int(body)
-                case ValBag(vals):
-                    return not vals and prime_int(body)
+        case Closure(_, _, body, bag) | TClosure(_, _, body, bag):
+            if isinstance(bag, ValBag) and bag.vals:
+                return False
+            return prime_int(body)
         case App(fn, arg):
             return prime_int(fn) and prime_int(arg)
         case Proj(_, arg):
             return prime_int(arg)
         case Tuple(items):
             return all(prime_int(it) for it in items)
-    raise TypeError(f"not an intermediate term: {t!r}")
+    raise TypeError(f"not an intermediate or target term: {t!r}")
+
+
+prime_target = prime_int
 
 
 def norms_target(t: TargetTerm) -> tuple[int, int]:
@@ -500,25 +476,6 @@ def well_formed_target(t: TargetTerm) -> bool:
     raise TypeError(f"not a target term: {t!r}")
 
 
-def prime_target(t: TargetTerm) -> bool:
-    match t:
-        case PVar(_, _):
-            return True
-        case TClosure(_, _, body, bag):
-            match bag:
-                case PVarBag(_):
-                    return prime_target(body)
-                case ValBag(vals):
-                    return not vals and prime_target(body)
-        case App(fn, arg):
-            return prime_target(fn) and prime_target(arg)
-        case Proj(_, arg):
-            return prime_target(arg)
-        case Tuple(items):
-            return all(prime_target(it) for it in items)
-    raise TypeError(f"not a target term: {t!r}")
-
-
 class _Binds:
     """On-the-fly de Bruijn levels for alpha comparison."""
 
@@ -546,8 +503,13 @@ def _alpha_var(a: Var, b: Var, ma: _Binds, mb: _Binds) -> bool:
     return ia is not None and ia == ib
 
 
-def alpha_eq_source(a: SourceTerm, b: SourceTerm) -> bool:
-    """Alpha equivalence of source terms; free variables compare by name."""
+def alpha_eq_source(a: SourceTerm | IntTerm, b: SourceTerm | IntTerm) -> bool:
+    """Alpha equivalence of source or intermediate terms.
+
+    Free variables compare by name. An abstraction's params, and a
+    closure's wrapped and param lists, bind in the body; a closure's bag
+    lives in the enclosing scope.
+    """
 
     def go(a, b, ma, mb):
         match a, b:
@@ -557,30 +519,6 @@ def alpha_eq_source(a: SourceTerm, b: SourceTerm) -> bool:
                 if len(pa) != len(pb):
                     return False
                 return go(ba, bb, ma.child(pa), mb.child(pb))
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
-            case Proj(i, t1), Proj(j, t2):
-                return i == j and go(t1, t2, ma, mb)
-            case Tuple(xs), Tuple(ys):
-                return len(xs) == len(ys) and all(
-                    go(p, q, ma, mb) for p, q in zip(xs, ys)
-                )
-        return False
-
-    return go(a, b, _Binds(), _Binds())
-
-
-def alpha_eq_int(a: IntTerm, b: IntTerm) -> bool:
-    """Alpha equivalence of intermediate terms.
-
-    A closure's wrapped and param lists both bind in the body; the bag
-    lives in the enclosing scope.
-    """
-
-    def go(a, b, ma, mb):
-        match a, b:
-            case Var(_), Var(_):
-                return _alpha_var(a, b, ma, mb)
             case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
                 if len(w1) != len(w2) or len(p1) != len(p2):
                     return False
@@ -607,3 +545,6 @@ def alpha_eq_int(a: IntTerm, b: IntTerm) -> bool:
         return False
 
     return go(a, b, _Binds(), _Binds())
+
+
+alpha_eq_int = alpha_eq_source

@@ -32,7 +32,6 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
-    free_var_names,
     free_vars,
     norms_target,
 )
@@ -93,8 +92,8 @@ def unwrap(t: IntTerm) -> SourceTerm:
     variables substituted by the bag entries: values from a value bag,
     or the bag's variables themselves (a renaming) from a variable bag.
     Substituting open values under the restored binder is
-    capture-avoiding: params are freshened when a bag entry's free
-    variable would be captured.
+    capture-avoiding: subst_source_any freshens the params when a bag
+    entry's free variable would be captured.
     """
     match t:
         case Var(_):
@@ -109,28 +108,7 @@ def unwrap(t: IntTerm) -> SourceTerm:
                 raise ValueError(
                     f"closure bag has {len(entries)} entries for {len(wrapped)} wrapped variables"
                 )
-            body_u = unwrap(body)
-            fv_memo: dict = {}
-            repl_names = set()
-            for e in entries:
-                repl_names |= free_var_names(e, fv_memo)
-            mapping = dict(zip(wrapped, entries))
-            if any(p.name in repl_names for p in params):
-                avoid = repl_names | free_var_names(body_u, fv_memo) | {p.name for p in params}
-                new_params = []
-                for p in params:
-                    if p.name in repl_names:
-                        k = 0
-                        while f"{p.name}_{k}" in avoid:
-                            k += 1
-                        fresh = Var(f"{p.name}_{k}")
-                        avoid.add(fresh.name)
-                        mapping[p] = fresh
-                        new_params.append(fresh)
-                    else:
-                        new_params.append(p)
-                params = tuple(new_params)
-            return Abs(params, subst_source_any(body_u, mapping))
+            return subst_source_any(Abs(params, unwrap(body)), dict(zip(wrapped, entries)))
         case App(fn, arg):
             return App(unwrap(fn), unwrap(arg))
         case Proj(i, arg):

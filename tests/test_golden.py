@@ -29,3 +29,13 @@ def test_run_trace_is_unchanged(machine, capsysbinary):
     assert main(["run", program, "--machine", machine, "--trace"]) == 0
     want = (DATA / f"run-mixed-pipeline-{machine}-trace.txt").read_bytes()
     assert capsysbinary.readouterr().out == want
+
+
+@pytest.mark.parametrize("machine", ["source", "int", "target"])
+def test_run_dump_states_is_unchanged(machine, capsysbinary):
+    # written by `tamc run corpus/mixed-pipeline.lam --machine M --dump-states`
+    # before the named/positional term functions were folded into one body each
+    program = str(ROOT / "corpus" / "mixed-pipeline.lam")
+    assert main(["run", program, "--machine", machine, "--dump-states"]) == 0
+    want = (DATA / f"run-mixed-pipeline-{machine}-dump.txt").read_bytes()
+    assert capsysbinary.readouterr().out == want
