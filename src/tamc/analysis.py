@@ -18,8 +18,9 @@ Checkers take RunRecords and evaluate the transition-match
 inequality, the bilinear transition bound, and the per-transition
 overhead-measure clauses. One unfolded-size function, serving the
 intermediate and target calculi alike, computes the size of the
-source term a machine result denotes without building that term,
-which is what makes the explosion families checkable at n = 18.
+source term a machine result denotes without building that term, in
+time linear in the result's shared structure, so the explosion
+families are checkable at any n the machines reach.
 """
 
 from __future__ import annotations
@@ -218,47 +219,47 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
     Computed over the shared structure: closure bodies are costed with
     a size map from each wrapped variable (its name, or for a target
     closure its l-index) to its bag entry's size, instead of
-    substituting; parameters and s-projections count 1. Closed values
-    are memoized by object identity, so exponentially unfolded results
-    stay cheap to measure.
+    substituting; parameters and s-projections count 1. Under the empty
+    size map a node's size depends on nothing outside it, so those sizes
+    are memoized by node identity, tuples and bag values included: the
+    cost is linear in the shared structure, not in the unfolded tree.
     """
-    memo: dict[int, int] = {}
-
-    def value_size(v) -> int:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = term_size(v, {})
-        memo[key] = out
-        return out
+    memo: dict[int, tuple] = {}
 
     def term_size(t, sizes: dict) -> int:
+        if not sizes:
+            hit = memo.get(id(t))
+            if hit is not None:
+                return hit[1]
         # tuples first: the unfolded explosion results are mostly tuple nodes
         match t:
             case Tuple(items=items):
-                return len(items) + sum(term_size(i, sizes) for i in items)
+                out = len(items) + sum(term_size(i, sizes) for i in items)
             case Var(name=name):
                 return sizes.get(name, 1)
             case PVar(base=base, index=i):
                 return sizes.get(i, 1) if base == "l" else 1
             case Closure(wrapped=w, params=p, body=b, bag=bag):
-                keys = [v.name for v in w]
-                m = len(p)
+                out = closure_size([v.name for v in w], len(p), b, bag, sizes)
             case TClosure(n_wrapped=n, n_params=m, body=b, bag=bag):
-                keys = range(1, n + 1)
+                out = closure_size(range(1, n + 1), m, b, bag, sizes)
             case App(fn=fn, arg=arg):
-                return 1 + term_size(fn, sizes) + term_size(arg, sizes)
+                out = 1 + term_size(fn, sizes) + term_size(arg, sizes)
             case Proj(arg=arg):
-                return 1 + term_size(arg, sizes)
+                out = 1 + term_size(arg, sizes)
             case _:
                 raise TypeError(f"not an intermediate or target term: {t!r}")
+        if not sizes:
+            memo[id(t)] = (t, out)
+        return out
+
+    def closure_size(keys, m: int, body, bag, sizes: dict) -> int:
         match bag:
             case ValBag(vals=vals):
-                inner = {k: value_size(v) for k, v in zip(keys, vals)}
+                inner = {k: term_size(v, {}) for k, v in zip(keys, vals)}
             case VarBag(vars=vs) | PVarBag(pvars=vs):
                 inner = {k: term_size(v, sizes) for k, v in zip(keys, vs)}
-        return 1 + m + term_size(b, inner)
+        return 1 + m + term_size(body, inner)
 
     return term_size(t, {})
 

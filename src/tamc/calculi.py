@@ -212,6 +212,8 @@ def subst_int(
     def lookup(v: Var):
         r = mapping.get(v)
         if r is None:
+            if not isinstance(v, Var):
+                raise TypeError(f"not an intermediate term: {v!r}")
             raise ValueError(f"free variable {v.name} not covered by the substitution")
         return r
 
@@ -227,7 +229,10 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
     """
 
     def resolve(p: PVar):
-        vals = lvals if p.base == "l" else svals
+        try:
+            vals = lvals if p.base == "l" else svals
+        except AttributeError:
+            raise TypeError(f"not a target term: {p!r}") from None
         if not 1 <= p.index <= len(vals):
             raise ValueError(f"pi{p.index} {p.base} outside the supplied {len(vals)} values")
         return vals[p.index - 1]

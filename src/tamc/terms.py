@@ -291,46 +291,78 @@ def free_var_names(t: SourceTerm, memo: dict | None = None) -> frozenset:
     return go(t)
 
 
-def free_vars(t: SourceTerm | IntTerm) -> tuple[Var, ...]:
+def _unbound(fv: tuple[Var, ...], binders: tuple[Var, ...]) -> tuple[Var, ...]:
+    """fv without the binders; variables compare by name, so names are the keys."""
+    if not fv or not binders:
+        return fv
+    bound = {v.name for v in binders}
+    return tuple(v for v in fv if v.name not in bound)
+
+
+def _merge(parts) -> tuple[Var, ...]:
+    """Concatenate free-variable tuples, each without repeats, keeping first occurrences."""
+    parts = [p for p in parts if p]
+    if len(parts) <= 1:
+        return parts[0] if parts else ()
+    first, *rest = parts
+    seen = {v.name for v in first}
+    new = []
+    for p in rest:
+        for v in p:
+            if v.name not in seen:
+                seen.add(v.name)
+                new.append(v)
+    return first + tuple(new) if new else first
+
+
+def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, ...]:
     """Free variables in order of first occurrence, left to right.
 
     Works on source and intermediate terms. Closure binders scope over
     the body only; bag occurrences are free.
+
+    Computed bottom-up: an abstraction's result is its body's minus its
+    params; a closure's is its body's minus its binders, followed by its
+    bag's; an application, projection or tuple merges its children's
+    results left to right, keeping first occurrences. That is the order
+    of a left-to-right walk, without re-walking a body at every binder
+    above it. Results are memoized by node identity in memo, which a
+    caller may share across calls on subterms of one term; each entry
+    holds its node, so no id is reused while the memo lives.
     """
-    seen: dict[Var, None] = {}
+    if memo is None:
+        memo = {}
 
-    def note(v: Var, bound: frozenset):
-        if v not in bound and v not in seen:
-            seen[v] = None
-
-    def walk(t, bound: frozenset):
+    def go(t) -> tuple[Var, ...]:
+        if type(t) is Var:
+            return (t,)
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
         match t:
-            case Var(_):
-                note(t, bound)
             case Abs(params, body):
-                walk(body, bound | set(params))
+                out = _unbound(go(body), params)
             case App(fn, arg):
-                walk(fn, bound)
-                walk(arg, bound)
+                out = _merge((go(fn), go(arg)))
             case Proj(_, arg):
-                walk(arg, bound)
+                out = go(arg)
             case Tuple(items):
-                for it in items:
-                    walk(it, bound)
+                out = _merge([go(it) for it in items])
             case Closure(wrapped, params, body, bag):
-                walk(body, bound | set(wrapped) | set(params))
+                inner = _unbound(go(body), wrapped + params)
                 match bag:
                     case VarBag(vs):
-                        for v in vs:
-                            note(v, bound)
+                        # a malformed bag may repeat a variable
+                        outer = _merge([(v,) for v in vs])
                     case ValBag(vals):
-                        for v in vals:
-                            walk(v, bound)
+                        outer = _merge([go(v) for v in vals])
+                out = _merge((inner, outer))
             case _:
                 raise TypeError(f"term has no named variables: {t!r}")
+        memo[id(t)] = (t, out)
+        return out
 
-    walk(t, frozenset())
-    return tuple(seen)
+    return go(t)
 
 
 def is_closed_source(t: SourceTerm | IntTerm) -> bool:
@@ -359,33 +391,39 @@ def well_formed_int(t: IntTerm) -> bool:
     For each closure: binders are pairwise distinct and disjoint, the
     body mentions only binder variables, a variable bag repeats the
     wrapped list exactly, and a value bag supplies one value per
-    wrapped variable.
+    wrapped variable. One free-variable memo serves every closure, so
+    nested bodies are walked once, not once per binder above them.
     """
-    match t:
-        case Var(_):
-            return True
-        case Closure(wrapped, params, body, bag):
-            names = [v.name for v in wrapped + params]
-            if len(set(names)) != len(names):
-                return False
-            if not set(free_vars(body)) <= set(wrapped) | set(params):
-                return False
-            if not well_formed_int(body):
-                return False
-            match bag:
-                case VarBag(vs):
-                    return vs == wrapped
-                case ValBag(vals):
-                    return len(vals) == len(wrapped) and all(
-                        is_value_int(v) and well_formed_int(v) for v in vals
-                    )
-        case App(fn, arg):
-            return well_formed_int(fn) and well_formed_int(arg)
-        case Proj(_, arg):
-            return well_formed_int(arg)
-        case Tuple(items):
-            return all(well_formed_int(it) for it in items)
-    raise TypeError(f"not an intermediate term: {t!r}")
+    memo: dict = {}
+
+    def go(t) -> bool:
+        match t:
+            case Var(_):
+                return True
+            case Closure(wrapped, params, body, bag):
+                names = {v.name for v in wrapped + params}
+                if len(names) != len(wrapped) + len(params):
+                    return False
+                if not all(v.name in names for v in free_vars(body, memo)):
+                    return False
+                if not go(body):
+                    return False
+                match bag:
+                    case VarBag(vs):
+                        return vs == wrapped
+                    case ValBag(vals):
+                        return len(vals) == len(wrapped) and all(
+                            is_value_int(v) and go(v) for v in vals
+                        )
+            case App(fn, arg):
+                return go(fn) and go(arg)
+            case Proj(_, arg):
+                return go(arg)
+            case Tuple(items):
+                return all(go(it) for it in items)
+        raise TypeError(f"not an intermediate term: {t!r}")
+
+    return go(t)
 
 
 def prime_int(t: IntTerm | TargetTerm) -> bool:

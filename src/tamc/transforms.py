@@ -68,21 +68,27 @@ def wrap(t: SourceTerm) -> IntTerm:
 
     Homomorphic except on abstractions, which become closures wrapping
     their free variables; the bag initially just names those variables,
-    so the output is prime and well formed.
+    so the output is prime and well formed. One free-variable memo
+    serves every abstraction, so nested bodies are walked once.
     """
-    match t:
-        case Var(_):
-            return t
-        case Abs(params, body):
-            ys = free_vars(t)
-            return Closure(ys, params, wrap(body), VarBag(ys))
-        case App(fn, arg):
-            return App(wrap(fn), wrap(arg))
-        case Proj(i, arg):
-            return Proj(i, wrap(arg))
-        case Tuple(items):
-            return Tuple(tuple(wrap(it) for it in items))
-    raise TypeError(f"not a source term: {t!r}")
+    memo: dict = {}
+
+    def go(t):
+        match t:
+            case Var(_):
+                return t
+            case Abs(params, body):
+                ys = free_vars(t, memo)
+                return Closure(ys, params, go(body), VarBag(ys))
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Proj(i, arg):
+                return Proj(i, go(arg))
+            case Tuple(items):
+                return Tuple(tuple(go(it) for it in items))
+        raise TypeError(f"not a source term: {t!r}")
+
+    return go(t)
 
 
 def unwrap(t: IntTerm) -> SourceTerm:
