@@ -44,15 +44,14 @@ from dataclasses import dataclass
 
 from .calculi import (
     ClashOutcome,
-    FuelExhausted,
     OpenStuckOutcome,
-    Stepped,
     ValueOutcome,
+    _normalize,
     step_int,
     step_source,
     step_target,
 )
-from .machine_common import MachineFinal
+from .machine_common import PRINCIPAL, MachineFinal
 from .machine_int import init_itam, readback_itam, step_itam
 from .machine_source import init_stam, readback_stam, step_stam
 from .machine_target import init_ttam, readback_ttam, step_ttam
@@ -81,38 +80,22 @@ class BisimReport:
 
 
 def _interp_trajectory(stepf, t, fuel: int):
-    """Terms and labels of a fueled interpreter run, plus its outcome."""
+    """Terms and labels of a fueled interpreter run, plus its final outcome."""
     terms = [t]
-    labels = []
-    outcome = ("fuel", None)
-    for _ in range(fuel + 1):
-        r = stepf(t)
-        match r:
-            case Stepped(label=label, term=nxt):
-                if len(labels) == fuel:
-                    break
-                labels.append(label)
-                terms.append(nxt)
-                t = nxt
-            case ValueOutcome():
-                outcome = ("value", None)
-                break
-            case ClashOutcome(kind):
-                outcome = ("clash", kind)
-                break
-            case OpenStuckOutcome():
-                outcome = ("open", None)
-                break
-            case FuelExhausted():  # pragma: no cover - not produced by step
-                break
-    return terms, tuple(labels), outcome
+    r = _normalize(stepf, t, fuel, terms)
+    return terms, r.labels, r.final
 
 
-def _outcome_str(outcome) -> str:
-    kind, clash = outcome
-    if kind == "clash":
-        return f"clash:{clash.value}"
-    return kind
+def _outcome_str(final) -> str:
+    """Classify an interpreter's final outcome: value, clash:<kind>, open or fuel."""
+    match final:
+        case ValueOutcome():
+            return "value"
+        case ClashOutcome(kind):
+            return f"clash:{kind.value}"
+        case OpenStuckOutcome():
+            return "open"
+    return "fuel"
 
 
 def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
@@ -121,6 +104,7 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
     Returns (failures, clash_kind_or_None, finished: bool).
     """
     failures = []
+    ended = _outcome_str(outcome)
     state = init
     j = 0
     memo: dict = {}  # shared by this walk's readbacks only
@@ -135,28 +119,28 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
                 failures.append(
                     f"{name}: stopped after {j} principal steps, interpreter took {len(labels)}"
                 )
-            if r.status == "successful" and outcome[0] != "value":
-                failures.append(f"{name}: successful but interpreter ended {outcome[0]}")
+            if r.status == "successful" and ended != "value":
+                failures.append(f"{name}: successful but interpreter ended {ended.partition(':')[0]}")
             if r.status == "clash":
-                if outcome[0] != "clash":
-                    failures.append(f"{name}: clash but interpreter ended {outcome[0]}")
-                elif r.clash is not outcome[1]:
+                if not ended.startswith("clash:"):
+                    failures.append(f"{name}: clash but interpreter ended {ended}")
+                elif ended != f"clash:{r.clash.value}":
                     failures.append(
-                        f"{name}: clash kind {r.clash.value} vs interpreter {outcome[1].value}"
+                        f"{name}: clash kind {r.clash.value} vs interpreter {ended.removeprefix('clash:')}"
                     )
             return failures, r.clash, True
         nxt_rb = readback(r.state, memo)
-        if r.name in ("ebeta", "epi"):
-            want = "beta" if r.name == "ebeta" else "pi"
+        label = PRINCIPAL.get(r.name)
+        if label is not None:
             if j >= len(labels):
                 # interpreter ran out of fuel here; prefix agreed, stop
-                if outcome[0] == "fuel":
+                if ended == "fuel":
                     return failures, None, False
-                failures.append(f"{name}: extra principal step {want} at index {j}")
+                failures.append(f"{name}: extra principal step {label.value} at index {j}")
                 return failures, None, False
-            if labels[j].value != want:
+            if labels[j] is not label:
                 failures.append(
-                    f"{name}: step {j} label {want} vs interpreter {labels[j].value}"
+                    f"{name}: step {j} label {label.value} vs interpreter {labels[j].value}"
                 )
                 return failures, None, False
             j += 1
@@ -169,7 +153,7 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
                 return failures, None, False
         state = r.state
         rb = nxt_rb
-    if outcome[0] != "fuel":
+    if ended != "fuel":
         failures.append(f"{name}: ran out of machine fuel on a terminating term")
     return failures, None, False
 
@@ -194,11 +178,9 @@ def bisim_check(
         )
 
     # (d) terminal classifications agree
-    if not (s_out == i_out == t_out):
-        failures.append(
-            f"outcomes differ: source {_outcome_str(s_out)}, int {_outcome_str(i_out)}, "
-            f"target {_outcome_str(t_out)}"
-        )
+    s_end, i_end, t_end = (_outcome_str(o) for o in (s_out, i_out, t_out))
+    if not (s_end == i_end == t_end):
+        failures.append(f"outcomes differ: source {s_end}, int {i_end}, target {t_end}")
 
     # (c) stepwise commutation through the reverse translations
     if not failures:
@@ -226,7 +208,7 @@ def bisim_check(
         term=u,
         ok=not failures,
         failures=tuple(failures),
-        outcome=_outcome_str(s_out),
+        outcome=s_end,
         beta=beta,
         pi=len(s_labels) - beta,
     )

@@ -38,7 +38,7 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
-    free_var_names,
+    free_vars,
 )
 
 DEFAULT_FUEL = 100_000
@@ -105,13 +105,13 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
     """
     if not mapping:
         return t
-    fv_memo: dict = {}
+    memo: dict = {}  # free_vars memo shared by the whole substitution
 
-    def fv(u):
-        return free_var_names(u, fv_memo)
+    def names(u) -> set:
+        return {v.name for v in free_vars(u, memo)}
 
     def go(t, mp, dom):
-        if not (fv(t) & dom):
+        if not any(v.name in dom for v in free_vars(t, memo)):
             return t
         match t:
             case Var(_):
@@ -123,12 +123,13 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
             case Tuple(items):
                 return Tuple(tuple(go(it, mp, dom) for it in items))
             case Abs(params, body):
-                live = {v: r for v, r in mp.items() if v not in params and v.name in fv(body)}
+                body_names = names(body)
+                live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
                 if not live:
                     return t
-                repl_names = set().union(*(fv(r) for r in live.values()))
+                repl_names = set().union(*(names(r) for r in live.values()))
                 if any(p.name in repl_names for p in params):
-                    avoid = set(repl_names) | set(fv(body)) | {p.name for p in params}
+                    avoid = repl_names | body_names | {p.name for p in params}
                     new_params = []
                     renames = {}
                     for p in params:
@@ -145,7 +146,12 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
                 return Abs(params, go(body, live, new_dom))
         raise TypeError(f"not a source term: {t!r}")
 
-    return go(t, dict(mapping), frozenset(v.name for v in mapping))
+    out = go(t, dict(mapping), frozenset(v.name for v in mapping))
+    # free_vars reads intermediate terms too. go's first call walked the
+    # whole term, so the memo holds every node it or a replacement has.
+    if any(type(node) is Closure for node, _ in memo.values()):
+        raise TypeError(f"not a source term: {t!r}")
+    return out
 
 
 def subst_source(t: SourceTerm, params: tuple, vals: tuple) -> SourceTerm:
@@ -247,9 +253,10 @@ def _stepper(is_abs_value, apply_root):
     """Build a step function from the calculus-specific pieces.
 
     is_abs_value: classify the non-shared leaf constructors as value or
-    stuck; apply_root: handle an application whose sides are values.
-    A leaf in redex position that is not a value (a variable) is
-    OpenStuck.
+    stuck; apply_root: handle an application of a function value to a
+    value. A tuple in function position is the same clash in every
+    calculus. A leaf in redex position that is not a value (a variable)
+    is OpenStuck.
     """
 
     def step(t):
@@ -280,6 +287,8 @@ def _stepper(is_abs_value, apply_root):
                         return descend(arg, path + (1,), lambda a: App(fn, a))
                     if not isv(fn):
                         return descend(fn, path + (0,), lambda f: App(f, arg))
+                    if isinstance(fn, Tuple):
+                        return ClashOutcome(ClashKind.TUPLE, path)
                     return apply_root(fn, arg, path)
                 case Proj(i, arg):
                     if not isv(arg):
@@ -304,52 +313,38 @@ def _stepper(is_abs_value, apply_root):
     return step
 
 
-def _source_root(fn, arg, path):
-    match fn:
-        case Abs(params, body):
-            if isinstance(arg, Tuple) and len(arg.items) == len(params):
-                return Stepped(StepLabel.BETA, subst_source(body, params, arg.items))
+def _source_root(fn: Abs, arg, path):
+    if isinstance(arg, Tuple) and len(arg.items) == len(fn.params):
+        return Stepped(StepLabel.BETA, subst_source(fn.body, fn.params, arg.items))
+    return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
+
+
+def _int_root(fn: Closure, arg, path):
+    w, p = fn.wrapped, fn.params
+    match fn.bag:
+        case VarBag(_):
+            # the bag still names free variables: open, not clashing
+            return OpenStuckOutcome(fn, path)
+        case ValBag(vals):
+            if isinstance(arg, Tuple) and len(arg.items) == len(p):
+                if len(vals) != len(w):
+                    raise ValueError(f"ill-formed closure: {len(vals)} bag values for {len(w)} wrapped variables")
+                return Stepped(StepLabel.BETA, subst_int(fn.body, w, vals, p, arg.items))
             return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
-        case Tuple(_):
-            return ClashOutcome(ClashKind.TUPLE, path)
-    raise AssertionError(f"unexpected value in function position: {fn!r}")
 
 
-def _int_root(fn, arg, path):
-    match fn:
-        case Closure(w, p, body, bag):
-            match bag:
-                case VarBag(_):
-                    # the bag still names free variables: open, not clashing
-                    return OpenStuckOutcome(fn, path)
-                case ValBag(vals):
-                    if isinstance(arg, Tuple) and len(arg.items) == len(p):
-                        if len(vals) != len(w):
-                            raise ValueError(f"ill-formed closure: {len(vals)} bag values for {len(w)} wrapped variables")
-                        return Stepped(StepLabel.BETA, subst_int(body, w, vals, p, arg.items))
-                    return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
-        case Tuple(_):
-            return ClashOutcome(ClashKind.TUPLE, path)
-    raise AssertionError(f"unexpected value in function position: {fn!r}")
-
-
-def _target_root(fn, arg, path):
-    match fn:
-        case TClosure(n, m, body, bag):
-            match bag:
-                case PVarBag(_):
-                    return OpenStuckOutcome(fn, path)
-                case ValBag(vals):
-                    # the m annotation is the arity contract the machine
-                    # checks as well
-                    if isinstance(arg, Tuple) and len(arg.items) == m:
-                        if len(vals) != n:
-                            raise ValueError(f"ill-formed closure: {len(vals)} bag values promised as {n}")
-                        return Stepped(StepLabel.BETA, psubst_target(body, vals, arg.items))
-                    return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
-        case Tuple(_):
-            return ClashOutcome(ClashKind.TUPLE, path)
-    raise AssertionError(f"unexpected value in function position: {fn!r}")
+def _target_root(fn: TClosure, arg, path):
+    n, m = fn.n_wrapped, fn.n_params
+    match fn.bag:
+        case PVarBag(_):
+            return OpenStuckOutcome(fn, path)
+        case ValBag(vals):
+            # the m annotation is the arity contract the machine checks as well
+            if isinstance(arg, Tuple) and len(arg.items) == m:
+                if len(vals) != n:
+                    raise ValueError(f"ill-formed closure: {len(vals)} bag values promised as {n}")
+                return Stepped(StepLabel.BETA, psubst_target(fn.body, vals, arg.items))
+            return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
 
 
 step_source = _stepper(lambda t: isinstance(t, Abs), _source_root)
@@ -357,19 +352,22 @@ step_int = _stepper(lambda t: isinstance(t, Closure), _int_root)
 step_target = _stepper(lambda t: isinstance(t, TClosure), _target_root)
 
 
-def _normalize(step, t, fuel: int) -> NormalizeResult:
+def _normalize(step, t, fuel: int, reducts: list | None = None) -> NormalizeResult:
+    """At most fuel steps from t, then one more to tell a stop from a cut.
+
+    When reducts is a list, every reduct is appended to it in order.
+    """
     labels = []
     for _ in range(fuel):
         r = step(t)
-        if isinstance(r, Stepped):
-            labels.append(r.label)
-            t = r.term
-        else:
+        if not isinstance(r, Stepped):
             return NormalizeResult(tuple(labels), t, r)
+        labels.append(r.label)
+        t = r.term
+        if reducts is not None:
+            reducts.append(t)
     r = step(t)
-    if isinstance(r, Stepped):
-        return NormalizeResult(tuple(labels), t, FuelExhausted())
-    return NormalizeResult(tuple(labels), t, r)
+    return NormalizeResult(tuple(labels), t, FuelExhausted() if isinstance(r, Stepped) else r)
 
 
 def normalize_source(t: SourceTerm, fuel: int = DEFAULT_FUEL) -> NormalizeResult:

@@ -7,7 +7,8 @@ metrics (static numbers for one term).
 
 Exit codes: 0 success, 1 a check or run failed (clash, fuel, bisim
 divergence) or stdout was closed early, 2 usage problems (bad flags,
-unreadable file, parse error, input nested too deeply, open input).
+unreadable file, parse error, input nested too deeply, an open term
+given to run, bisim or convert --to target).
 The TAMC_FUEL environment variable overrides the default fuel
 everywhere; explicit --fuel flags win over it.
 """
@@ -22,7 +23,7 @@ from .analysis import FAMILIES, MACHINES, bench, write_bench_csv
 from .bisim import DEFAULT_BISIM_FUEL, bisim_check
 from .calculi import DEFAULT_FUEL
 from .generate import GenConfig, gen_corpus
-from .machine_common import Transition, run_loop
+from .machine_common import PRINCIPAL, Transition, run_loop
 from .machine_source import SClos, STup
 from .syntax import ParseError, parse, print_int, print_source, print_target
 from .terms import (
@@ -61,12 +62,10 @@ def _read_term(path: str):
         return 2
 
 
-def _env_fuel(default: int):
-    raw = os.environ.get("TAMC_FUEL")
-    if raw is None:
-        return default
+def _fuel(flag: int | None, default: int) -> int | None:
+    """--fuel, else TAMC_FUEL, else default; None unless a positive integer."""
     try:
-        fuel = int(raw)
+        fuel = int(flag if flag is not None else os.environ.get("TAMC_FUEL", default))
     except ValueError:
         return None
     return fuel if fuel > 0 else None
@@ -121,9 +120,6 @@ def _brief(t, budget: int = 14) -> str:
     return "".join(parts)
 
 
-_PRINCIPAL = {"ebeta": "beta", "epi": "pi"}
-
-
 def _focus_summary(state) -> str:
     focus = state.focus
     if type(focus).__name__ == "Unev":
@@ -165,8 +161,8 @@ def _cmd_run(args) -> int:
     free = free_vars(t)
     if free:
         return _fail_usage(f"{args.file}: term is open (free: {', '.join(v.name for v in free)})")
-    fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_FUEL)
-    if fuel is None or fuel <= 0:
+    fuel = _fuel(args.fuel, DEFAULT_FUEL)
+    if fuel is None:
         return _fail_usage("fuel must be a positive integer")
     m = MACHINES[args.machine]
     state = m.init(m.translate(t))
@@ -183,7 +179,7 @@ def _cmd_run(args) -> int:
             if args.dump_states:
                 _dump_state(shown, r.state)
             else:
-                label = _PRINCIPAL.get(r.name, "-")
+                label = PRINCIPAL[r.name].value if r.name in PRINCIPAL else "-"
                 cdepth, adepth = _depths(r.state)
                 summary = _focus_summary(r.state)
                 print(f"{shown}\t{r.name}\t{label}\t{summary}\t{cdepth}\t{adepth}")
@@ -216,8 +212,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
-    fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_BISIM_FUEL)
-    if fuel is None or fuel <= 0:
+    fuel = _fuel(args.fuel, DEFAULT_BISIM_FUEL)
+    if fuel is None:
         return _fail_usage("fuel must be a positive integer")
     if args.count < 0:
         return _fail_usage("count must be a non-negative integer")
@@ -249,8 +245,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_FUEL)
-    if fuel is None or fuel <= 0:
+    fuel = _fuel(args.fuel, DEFAULT_FUEL)
+    if fuel is None:
         return _fail_usage("fuel must be a positive integer")
     if args.n_max < 0:
         return _fail_usage("n-max must be a non-negative integer")

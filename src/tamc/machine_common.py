@@ -46,7 +46,23 @@ class MachineFinal:
     clash: ClashKind | None = None
 
 
-_PRINCIPAL = {"ebeta": StepLabel.BETA, "epi": StepLabel.PI}
+# The principal transitions and the calculus step each one performs;
+# every other transition is overhead.
+PRINCIPAL = {"ebeta": StepLabel.BETA, "epi": StepLabel.PI}
+
+
+@dataclass(frozen=True, slots=True)
+class ArgVal:
+    """Control stack entry: an evaluated argument waiting for its function."""
+
+    value: object
+
+
+@dataclass(frozen=True, slots=True)
+class ProjFrame:
+    """Control stack entry: a projection waiting for its tuple."""
+
+    index: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,7 @@ class RunRecord:
 
     @property
     def principal_labels(self) -> tuple[StepLabel, ...]:
-        return tuple(_PRINCIPAL[n] for n in self.labels if n in _PRINCIPAL)
+        return tuple(PRINCIPAL[n] for n in self.labels if n in PRINCIPAL)
 
 
 def run_loop(step, measure, state, fuel: int, record_measure: bool = False) -> RunRecord:

@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculi import DEFAULT_FUEL, ClashKind
-from .machine_common import Cost, MachineFinal, MachineInvariantError, RunRecord, Transition, run_loop
+from .machine_common import (
+    ArgVal,
+    Cost,
+    MachineFinal,
+    MachineInvariantError,
+    ProjFrame,
+    RunRecord,
+    Transition,
+    run_loop,
+)
 from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, free_vars, shared_size_source
 
 Env = tuple  # of (Var, value) pairs, innermost binding first
@@ -54,16 +63,6 @@ class Unev:
 class PendingFn:
     term: SourceTerm
     env: Env
-
-
-@dataclass(frozen=True, slots=True)
-class ArgVal:
-    value: SValue
-
-
-@dataclass(frozen=True, slots=True)
-class ProjFrame:
-    index: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculi import ClashKind
-from .machine_common import Cost, MachineFinal, MachineInvariantError, Transition
+from .machine_common import ArgVal, Cost, MachineFinal, MachineInvariantError, ProjFrame, Transition
 from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag
 
 
@@ -37,16 +37,6 @@ class Unev:
 @dataclass(frozen=True, slots=True)
 class PendingFn:
     term: object
-
-
-@dataclass(frozen=True, slots=True)
-class ArgVal:
-    value: object
-
-
-@dataclass(frozen=True, slots=True)
-class ProjFrame:
-    index: int
 
 
 @dataclass(frozen=True, slots=True)

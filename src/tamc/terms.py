@@ -166,34 +166,45 @@ def metrics(t: SourceTerm) -> TermMetrics:
     Width is the longest tuple or parameter list anywhere in the term.
     Height is the largest number of bound variables in whose scope a
     subterm sits, so a zero-parameter abstraction adds nothing.
+
+    Memoized by node identity, each entry holding its node, so a term
+    DAG costs one visit per shared node: substitution and read-back
+    share value nodes instead of copying them, and normal forms of the
+    exploding families are small DAGs of exponential unfolded size.
     """
+    memo: dict = {}
 
     def go(t) -> tuple[int, int, int]:
+        if type(t) is Var:
+            return 1, 0, 0
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
         match t:
-            case Var(_):
-                return 1, 0, 0
             case Abs(params, body):
                 s, w, h = go(body)
                 k = len(params)
-                return s + k + 1, max(w, k), h + k
+                out = s + k + 1, max(w, k), h + k
             case App(fn, arg):
                 s1, w1, h1 = go(fn)
                 s2, w2, h2 = go(arg)
-                return s1 + s2 + 1, max(w1, w2), max(h1, h2)
+                out = s1 + s2 + 1, max(w1, w2), max(h1, h2)
             case Proj(_, arg):
                 s, w, h = go(arg)
-                return s + 1, w, h
+                out = s + 1, w, h
             case Tuple(items):
                 parts = [go(it) for it in items]
-                return (
+                out = (
                     len(items) + sum(p[0] for p in parts),
                     max([len(items)] + [p[1] for p in parts], default=0),
                     max([p[2] for p in parts], default=0),
                 )
-        raise TypeError(f"not a source term: {t!r}")
+            case _:
+                raise TypeError(f"not a source term: {t!r}")
+        memo[id(t)] = (t, out)
+        return out
 
-    size, width, height = go(t)
-    return TermMetrics(size, width, height)
+    return TermMetrics(*go(t))
 
 
 def size_int(t: IntTerm | TargetTerm) -> int:
@@ -227,68 +238,8 @@ size_target = size_int
 
 
 def shared_size_source(t: SourceTerm) -> int:
-    """Source size over a term DAG, visiting each shared node once.
-
-    Substitution and read-back share value nodes instead of copying
-    them, so normal forms of exploding families are small DAGs whose
-    unfolded size this computes without materializing the tree.
-    """
-    memo: dict[int, int] = {}
-
-    def go(t) -> int:
-        cached = memo.get(id(t))
-        if cached is not None:
-            return cached
-        match t:
-            case Var(_):
-                s = 1
-            case Abs(params, body):
-                s = go(body) + len(params) + 1
-            case App(fn, arg):
-                s = go(fn) + go(arg) + 1
-            case Proj(_, arg):
-                s = go(arg) + 1
-            case Tuple(items):
-                s = len(items) + sum(go(it) for it in items)
-            case _:
-                raise TypeError(f"not a source term: {t!r}")
-        memo[id(t)] = s
-        return s
-
-    return go(t)
-
-
-def free_var_names(t: SourceTerm, memo: dict | None = None) -> frozenset:
-    """Free variable names of a source term as a set.
-
-    Memoized by node identity: substitution and read-back share value
-    nodes, so terms are DAGs and the naive walk would revisit shared
-    subtrees exponentially often.
-    """
-    if memo is None:
-        memo = {}
-
-    def go(t) -> frozenset:
-        cached = memo.get(id(t))
-        if cached is not None:
-            return cached
-        match t:
-            case Var(name):
-                s = frozenset((name,))
-            case Abs(params, body):
-                s = go(body) - {p.name for p in params}
-            case App(fn, arg):
-                s = go(fn) | go(arg)
-            case Proj(_, arg):
-                s = go(arg)
-            case Tuple(items):
-                s = frozenset().union(*(go(it) for it in items)) if items else frozenset()
-            case _:
-                raise TypeError(f"not a source term: {t!r}")
-        memo[id(t)] = s
-        return s
-
-    return go(t)
+    """Source size over a term DAG, visiting each shared node once."""
+    return metrics(t).size
 
 
 def _unbound(fv: tuple[Var, ...], binders: tuple[Var, ...]) -> tuple[Var, ...]:
