@@ -148,7 +148,10 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
 
     out = go(t, dict(mapping), frozenset(v.name for v in mapping))
     # free_vars reads intermediate terms too. go's first call walked the
-    # whole term, so the memo holds every node it or a replacement has.
+    # whole term; walking each replacement as well, a replacement no
+    # binder inspected included, puts every node of both in the memo.
+    for r in mapping.values():
+        free_vars(r, memo)
     if any(type(node) is Closure for node, _ in memo.values()):
         raise TypeError(f"not a source term: {t!r}")
     return out

@@ -484,56 +484,132 @@ class _Binds:
         return c
 
 
-def _alpha_var(a: Var, b: Var, ma: _Binds, mb: _Binds) -> bool:
-    ia = ma.map.get(a.name)
-    ib = mb.map.get(b.name)
-    if ia is None and ib is None:
-        return a.name == b.name
-    return ia is not None and ia == ib
-
-
-def alpha_eq_source(a: SourceTerm | IntTerm, b: SourceTerm | IntTerm) -> bool:
+def alpha_eq_source(
+    a: SourceTerm | IntTerm, b: SourceTerm | IntTerm, memo: dict | None = None
+) -> bool:
     """Alpha equivalence of source or intermediate terms.
 
     Free variables compare by name. An abstraction's params, and a
     closure's wrapped and param lists, bind in the body; a closure's bag
     lives in the enclosing scope.
-    """
 
-    def go(a, b, ma, mb):
+    memo, when given, is a dict that one caller passes to every
+    comparison of one run. It remembers the pairs proven alpha-equal
+    whose proof consulted nothing outside them, neither a free name nor
+    a binder above them: such a pair is equal wherever it sits, so a
+    later comparison that meets the same two objects answers at once.
+    (id(a), id(b)) maps to (a, b) for two subterms equal in every
+    context, and (id(b1), id(w1), id(p1), id(b2), id(w2), id(p2)) maps
+    to those six objects for two closure bodies equal under their own
+    binder lists. A well-formed closure body mentions only its own
+    binders, so every closure-body pair proven equal is remembered.
+    Only equal pairs enter the memo, terms are immutable, and each
+    entry holds its keyed objects, so no id is reused while the memo
+    lives and a hit is what comparing would give. Without a memo
+    nothing is remembered.
+    """
+    # The lowest binder level a variable matched since the innermost
+    # node comparison began, or -1 once a free name matched.
+    low = 0
+
+    def var(x: Var, y: Var, ma: _Binds, mb: _Binds) -> bool:
+        nonlocal low
+        ix = ma.map.get(x.name)
+        iy = mb.map.get(y.name)
+        if ix is None and iy is None:
+            low = -1
+            return x.name == y.name
+        if ix is None or ix != iy:
+            return False
+        if ix < low:
+            low = ix
+        return True
+
+    def go(a, b, ma: _Binds, mb: _Binds) -> bool:
+        # ma and mb always hold the same number of binders, since each
+        # scope is entered on both sides with lists of equal lengths.
+        nonlocal low
+        if type(a) is Var:
+            return type(b) is Var and var(a, b, ma, mb)
+        if memo is not None and (id(a), id(b)) in memo:
+            return True
+        outer, low = low, ma.next
         match a, b:
-            case Var(_), Var(_):
-                return _alpha_var(a, b, ma, mb)
             case Abs(pa, ba), Abs(pb, bb):
-                if len(pa) != len(pb):
-                    return False
-                return go(ba, bb, ma.child(pa), mb.child(pb))
+                eq = len(pa) == len(pb) and go(ba, bb, ma.child(pa), mb.child(pb))
             case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
-                if len(w1) != len(w2) or len(p1) != len(p2):
-                    return False
-                if not go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2)):
-                    return False
-                match g1, g2:
-                    case VarBag(v1), VarBag(v2):
-                        return len(v1) == len(v2) and all(
-                            _alpha_var(p, q, ma, mb) for p, q in zip(v1, v2)
-                        )
-                    case ValBag(v1), ValBag(v2):
-                        return len(v1) == len(v2) and all(
-                            go(p, q, ma, mb) for p, q in zip(v1, v2)
-                        )
-                return False
+                eq = len(w1) == len(w2) and len(p1) == len(p2)
+                if eq:
+                    key = (id(b1), id(w1), id(p1), id(b2), id(w2), id(p2))
+                    if memo is None or key not in memo:
+                        # the body comes first, so low now covers the body alone
+                        eq = go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
+                        if eq and memo is not None and low >= ma.next:
+                            memo[key] = (b1, w1, p1, b2, w2, p2)
+                if eq:
+                    match g1, g2:
+                        case VarBag(v1), VarBag(v2):
+                            eq = len(v1) == len(v2) and all(
+                                var(p, q, ma, mb) for p, q in zip(v1, v2)
+                            )
+                        case ValBag(v1), ValBag(v2):
+                            eq = len(v1) == len(v2) and all(
+                                go(p, q, ma, mb) for p, q in zip(v1, v2)
+                            )
+                        case _:
+                            eq = False
             case App(f1, a1), App(f2, a2):
-                return go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
+                eq = go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
             case Proj(i, t1), Proj(j, t2):
-                return i == j and go(t1, t2, ma, mb)
+                eq = i == j and go(t1, t2, ma, mb)
             case Tuple(xs), Tuple(ys):
-                return len(xs) == len(ys) and all(
-                    go(p, q, ma, mb) for p, q in zip(xs, ys)
-                )
-        return False
+                eq = len(xs) == len(ys) and all(go(p, q, ma, mb) for p, q in zip(xs, ys))
+            case _:
+                eq = False
+        if eq and memo is not None and low >= ma.next:
+            memo[(id(a), id(b))] = (a, b)
+        low = min(low, outer)
+        return eq
 
     return go(a, b, _Binds(), _Binds())
 
 
 alpha_eq_int = alpha_eq_source
+
+
+def equal_source(a: SourceTerm, b: SourceTerm, memo: dict | None = None) -> bool:
+    """Structural equality a == b that can remember the pairs it proves.
+
+    memo, when given, is a dict that one caller passes to every
+    comparison of one run: (id(a), id(b)) maps to (a, b) for every pair
+    of subterms found equal, so a later comparison that meets the same
+    two objects answers at once. Equality does not depend on where a
+    subterm sits, terms are immutable, and each entry holds its keyed
+    objects, so a hit is what comparing would give. Without a memo this
+    is a == b.
+    """
+    if memo is None:
+        return a == b
+
+    def go(a, b) -> bool:
+        if a is b:
+            return True
+        key = (id(a), id(b))
+        if key in memo:
+            return True
+        match a, b:
+            case App(f1, x1), App(f2, x2):
+                eq = go(f1, f2) and go(x1, x2)
+            case Proj(i, x1), Proj(j, x2):
+                eq = i == j and go(x1, x2)
+            case Tuple(xs), Tuple(ys):
+                eq = len(xs) == len(ys) and all(go(x, y) for x, y in zip(xs, ys))
+            case Abs(pa, ba), Abs(pb, bb):
+                eq = pa == pb and go(ba, bb)
+            case _:
+                return a == b  # variables, and anything not a source term
+        if eq:
+            memo[key] = (a, b)
+        return eq
+
+    return go(a, b)

@@ -91,7 +91,7 @@ def wrap(t: SourceTerm) -> IntTerm:
     return go(t)
 
 
-def unwrap(t: IntTerm) -> SourceTerm:
+def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
     """Translate an intermediate term back to the source calculus.
 
     A closure becomes an abstraction whose body has the wrapped
@@ -100,28 +100,43 @@ def unwrap(t: IntTerm) -> SourceTerm:
     Substituting open values under the restored binder is
     capture-avoiding: subst_source_any freshens the params when a bag
     entry's free variable would be captured.
+
+    memo, when given, is a dict that one caller passes to every unwrap
+    of one run: id(node) maps to (node, its unwrapping) for every node
+    unwrapped so far. unwrap is pure and a node's result does not depend
+    on where the node sits, terms are immutable, and each entry holds
+    its node, so no id is reused while the memo lives and a hit is what
+    recomputing would give. Without a memo nothing is reused.
     """
+    if type(t) is Var:
+        return t
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
-        case Var(_):
-            return t
         case Closure(wrapped, params, body, bag):
             match bag:
                 case VarBag(vs):
                     entries = vs
                 case ValBag(vals):
-                    entries = tuple(unwrap(v) for v in vals)
+                    entries = tuple(unwrap(v, memo) for v in vals)
             if len(entries) != len(wrapped):
                 raise ValueError(
                     f"closure bag has {len(entries)} entries for {len(wrapped)} wrapped variables"
                 )
-            return subst_source_any(Abs(params, unwrap(body)), dict(zip(wrapped, entries)))
+            out = subst_source_any(Abs(params, unwrap(body, memo)), dict(zip(wrapped, entries)))
         case App(fn, arg):
-            return App(unwrap(fn), unwrap(arg))
+            out = App(unwrap(fn, memo), unwrap(arg, memo))
         case Proj(i, arg):
-            return Proj(i, unwrap(arg))
+            out = Proj(i, unwrap(arg, memo))
         case Tuple(items):
-            return Tuple(tuple(unwrap(it) for it in items))
-    raise TypeError(f"not an intermediate term: {t!r}")
+            out = Tuple(tuple(unwrap(it, memo) for it in items))
+        case _:
+            raise TypeError(f"not an intermediate term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
 def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
@@ -168,13 +183,34 @@ def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
     return go(t)
 
 
-def naming(t: TargetTerm, wrapped: tuple, params: tuple, supply: FreshSupply) -> IntTerm:
+def naming(
+    t: TargetTerm,
+    wrapped: tuple,
+    params: tuple,
+    supply: FreshSupply,
+    memo: dict | None = None,
+) -> IntTerm:
     """Reverse name elimination: give every projection a variable name.
 
     Each closure mints fresh wrapped and param names from the supply
     for its own body; bag projections resolve against the enclosing
     lists. Composed with eliminate_names this is the identity up to
     alpha, since the original names are gone.
+
+    memo, when given, is a dict that one caller passes to every naming
+    of one run, together with one supply for all of them. A node's
+    naming depends on the node and the two enclosing lists only, so
+    (id(node), id(wrapped), id(params)) maps to (node, wrapped, params,
+    its naming). A closure body's projections resolve against the
+    body's own lists, so a body is named once, under the names minted
+    for it the first time it is met: id(body) maps to (body, wrapped
+    names, param names), used again by every closure of the same arity
+    that shares the body, while each closure's bag is still resolved
+    against its enclosing lists. Closures sharing a body may thus share
+    binder names, which captures nothing: names minted for different
+    bodies differ, and a body cannot contain itself. Each entry holds
+    its keyed objects, so no id is reused while the memo lives. Without
+    a memo every closure mints fresh names.
     """
 
     def resolve(p: PVar) -> Var:
@@ -183,25 +219,40 @@ def naming(t: TargetTerm, wrapped: tuple, params: tuple, supply: FreshSupply) ->
             raise ValueError(f"pi{p.index} {p.base} outside the enclosing {len(vars_)} names")
         return vars_[p.index - 1]
 
+    if type(t) is PVar:
+        return resolve(t)
+    if memo is not None:
+        hit = memo.get((id(t), id(wrapped), id(params)))
+        if hit is not None:
+            return hit[3]
     match t:
-        case PVar(_, _):
-            return resolve(t)
         case TClosure(n, m, body, bag):
-            zs = supply.wrapped_vars(n)
-            ws = supply.param_vars(m)
+            names = None if memo is None else memo.get(id(body))
+            if names is None or len(names[1]) != n or len(names[2]) != m:
+                names = (body, supply.wrapped_vars(n), supply.param_vars(m))
+                if memo is not None:
+                    memo[id(body)] = names
+            _, zs, ws = names
             match bag:
                 case PVarBag(ps):
                     new_bag = VarBag(tuple(resolve(p) for p in ps))
                 case ValBag(vals):
-                    new_bag = ValBag(tuple(naming(v, wrapped, params, supply) for v in vals))
-            return Closure(zs, ws, naming(body, zs, ws, supply), new_bag)
+                    new_bag = ValBag(tuple(naming(v, wrapped, params, supply, memo) for v in vals))
+            out = Closure(zs, ws, naming(body, zs, ws, supply, memo), new_bag)
         case App(fn, arg):
-            return App(naming(fn, wrapped, params, supply), naming(arg, wrapped, params, supply))
+            out = App(
+                naming(fn, wrapped, params, supply, memo),
+                naming(arg, wrapped, params, supply, memo),
+            )
         case Proj(i, arg):
-            return Proj(i, naming(arg, wrapped, params, supply))
+            out = Proj(i, naming(arg, wrapped, params, supply, memo))
         case Tuple(items):
-            return Tuple(tuple(naming(it, wrapped, params, supply) for it in items))
-    raise TypeError(f"not a target term: {t!r}")
+            out = Tuple(tuple(naming(it, wrapped, params, supply, memo) for it in items))
+        case _:
+            raise TypeError(f"not a target term: {t!r}")
+    if memo is not None:
+        memo[(id(t), id(wrapped), id(params))] = (t, wrapped, params, out)
+    return out
 
 
 def closure_convert(t: SourceTerm) -> TargetTerm:

@@ -75,10 +75,33 @@ def test_random_corpus():
 
 
 def test_checker_detects_broken_reverse_translation(monkeypatch):
-    monkeypatch.setattr("tamc.bisim.unwrap", lambda t: Var("broken"))
+    monkeypatch.setattr("tamc.bisim.unwrap", lambda t, memo=None: Var("broken"))
     rep = bisim_check(parse("(fun(x) -> x) <fun(y) -> y>"))
     assert not rep.ok
     assert any("unwrap" in f for f in rep.failures)
+
+
+def test_checker_detects_broken_naming(monkeypatch):
+    monkeypatch.setattr("tamc.bisim.naming", lambda t, w, p, supply, memo=None: Var("broken"))
+    rep = bisim_check(parse("(fun(x) -> x) <fun(y) -> y>"))
+    assert not rep.ok
+    assert any("naming" in f for f in rep.failures)
+
+
+def test_checker_detects_broken_alpha_comparison(monkeypatch):
+    # plain equality instead of alpha: naming's fresh names never match
+    monkeypatch.setattr("tamc.bisim.alpha_eq_int", lambda a, b, memo=None: a == b)
+    rep = bisim_check(parse("(fun(x) -> x) <fun(y) -> y>"))
+    assert not rep.ok
+    assert any("naming" in f for f in rep.failures)
+
+
+def test_nested_tuple_depth_200_passes():
+    # 300 deep raises RecursionError; the memoized clause (c) must not
+    # lower that ceiling below 200
+    rep = bisim_check(parse("<" * 200 + "fun(x) -> x" + ">" * 200))
+    assert rep.ok, rep.failures
+    assert rep.outcome == "value"
 
 
 def test_report_summary_format():

@@ -120,3 +120,15 @@ def test_subst_source_rejects_a_non_source_node_anywhere(kind, where):
     t = PLACEMENTS[where](FOREIGN[kind])
     with pytest.raises(TypeError):
         subst_source(t, (X,), (Tuple(()),))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [App(X, Tuple(())), Tuple((X,)), Tuple(())],
+    ids=["applied", "in a tuple", "unused"],
+)
+@pytest.mark.parametrize("kind", sorted(FOREIGN))
+def test_subst_source_rejects_a_non_source_replacement(kind, t):
+    # no binder makes the substitution inspect the replacement here
+    with pytest.raises(TypeError):
+        subst_source(t, (X,), (FOREIGN[kind],))
