@@ -8,7 +8,8 @@ metrics (static numbers for one term).
 Exit codes: 0 success, 1 a check or run failed (clash, fuel, bisim
 divergence) or stdout was closed early, 2 usage problems (bad flags,
 unreadable file, parse error, input nested too deeply, an open term
-given to run, bisim or convert --to target).
+given to run, bisim or convert --to target), 3 an internal error (a
+machine invariant broke).
 The TAMC_FUEL environment variable overrides the default fuel
 everywhere; explicit --fuel flags win over it.
 """
@@ -19,11 +20,12 @@ import argparse
 import os
 import sys
 
+from . import machine_source, machine_stacked
 from .analysis import FAMILIES, MACHINES, bench, write_bench_csv
 from .bisim import DEFAULT_BISIM_FUEL, bisim_check
 from .calculi import DEFAULT_FUEL
 from .generate import GenConfig, gen_corpus
-from .machine_common import PRINCIPAL, Transition, run_loop
+from .machine_common import PRINCIPAL, ArgVal, MachineInvariantError, ProjFrame, Transition, run_loop
 from .machine_source import SClos, STup
 from .syntax import ParseError, parse, print_int, print_source, print_target
 from .terms import (
@@ -121,37 +123,50 @@ def _brief(t, budget: int = 14) -> str:
 
 
 def _focus_summary(state) -> str:
-    focus = state.focus
-    if type(focus).__name__ == "Unev":
-        return "u " + _brief(focus.term)
-    return "v " + _brief(focus)
+    match state.focus:
+        case machine_stacked.Unev(term=t) | machine_source.Unev(term=t):
+            return "u " + _brief(t)
+        case value:
+            return "v " + _brief(value)
+
+
+def _stacks(state) -> tuple[tuple, tuple | None]:
+    """The control stack and, on a stacked machine, the activation stack."""
+    match state:
+        case machine_stacked.State(cstack=cstack, astack=astack):
+            return cstack, astack
+        case machine_source.SState(stack=stack):
+            return stack, None
+    raise TypeError(f"not a machine state: {state!r}")
 
 
 def _depths(state) -> tuple[int, int]:
-    if hasattr(state, "cstack"):
-        return len(state.cstack), len(state.astack)
-    return len(state.stack), 0
+    cstack, astack = _stacks(state)
+    return len(cstack), len(astack or ())
 
 
 def _entry_summary(e) -> str:
     name = type(e).__name__
-    if hasattr(e, "term"):
-        return f"{name} {_brief(e.term, 8)}"
-    if hasattr(e, "value"):
-        return f"{name} {_brief(e.value, 8)}"
-    if hasattr(e, "index"):
-        return f"{name} {e.index}"
-    return f"{name} pending={len(e.pending)} done={len(e.done)}"
+    match e:
+        case machine_stacked.PendingFn(term=t) | machine_source.PendingFn(term=t):
+            return f"{name} {_brief(t, 8)}"
+        case ArgVal(value=v):
+            return f"{name} {_brief(v, 8)}"
+        case ProjFrame(index=i):
+            return f"{name} {i}"
+        case machine_stacked.PartialTuple() | machine_source.PartialTuple():
+            return f"{name} pending={len(e.pending)} done={len(e.done)}"
+    raise TypeError(f"not a control stack entry: {e!r}")
 
 
 def _dump_state(step_no: int, state) -> None:
     print(f"state {step_no}:")
     print(f"  focus: {_focus_summary(state)}")
-    entries = state.cstack if hasattr(state, "cstack") else state.stack
-    for e in reversed(entries):
+    cstack, astack = _stacks(state)
+    for e in reversed(cstack):
         print(f"  cstack: {_entry_summary(e)}")
-    if hasattr(state, "astack"):
-        print(f"  astack: {len(state.astack)} frame(s)")
+    if astack is not None:
+        print(f"  astack: {len(astack)} frame(s)")
 
 
 def _cmd_run(args) -> int:
@@ -336,6 +351,9 @@ def main(argv=None) -> int:
         # The passes are recursive, so a deep enough input exhausts the stack.
         where = getattr(args, "file", None)
         return _fail_usage(f"{where}: input nested too deeply" if where else "input nested too deeply")
+    except MachineInvariantError as e:
+        print(f"tamc: internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

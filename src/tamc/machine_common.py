@@ -12,11 +12,20 @@ deterministic and machine-independent. Lookup cost is the scan
 position (or 1 for positional access); subv_lookup isolates the cost
 of plain variable lookups so per-lookup trends can be compared across
 machines.
+
+The records a machine builds at every transition (Transition, Cost and
+the stack entries) are NamedTuples, which construct at tuple speed. They
+are immutable and keep the dataclass repr, but they compare as plain
+tuples, so records of different classes with equal fields are equal
+(Unev(t) == PendingFn(t)); nothing in the library compares records.
+MachineFinal and RunRecord, built once per run, stay dataclasses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .calculi import ClashKind, StepLabel
 
@@ -25,16 +34,18 @@ class MachineInvariantError(Exception):
     """An internal machine invariant broke; reachable states never raise this."""
 
 
-@dataclass(frozen=True, slots=True)
-class Cost:
+class Cost(NamedTuple):
     elem: int
     env_copy: int = 0
     lookup: int = 0
     subv_lookup: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+# The cost of every transition that does one unit of work and nothing else.
+UNIT_COST = Cost(1)
+
+
+class Transition(NamedTuple):
     name: str
     state: object
     cost: Cost
@@ -51,15 +62,13 @@ class MachineFinal:
 PRINCIPAL = {"ebeta": StepLabel.BETA, "epi": StepLabel.PI}
 
 
-@dataclass(frozen=True, slots=True)
-class ArgVal:
+class ArgVal(NamedTuple):
     """Control stack entry: an evaluated argument waiting for its function."""
 
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class ProjFrame:
+class ProjFrame(NamedTuple):
     """Control stack entry: a projection waiting for its tuple."""
 
     index: int
@@ -100,7 +109,6 @@ class RunRecord:
 
 def run_loop(step, measure, state, fuel: int, record_measure: bool = False) -> RunRecord:
     labels: list[str] = []
-    counts: dict = {}
     elem_by_name: dict = {}
     elem = env_copy = lookup = subv = 0
     measures = [measure(state)] if record_measure else None
@@ -108,7 +116,7 @@ def run_loop(step, measure, state, fuel: int, record_measure: bool = False) -> R
     def finish(final: str, clash):
         return RunRecord(
             labels=tuple(labels),
-            counts=counts,
+            counts=dict(Counter(labels)),  # in order of first occurrence
             final=final,
             clash=clash,
             final_state=state,
@@ -124,15 +132,13 @@ def run_loop(step, measure, state, fuel: int, record_measure: bool = False) -> R
         r = step(state)
         if isinstance(r, MachineFinal):
             return finish(r.status, r.clash)
-        labels.append(r.name)
-        counts[r.name] = counts.get(r.name, 0) + 1
-        c = r.cost
-        elem += c.elem
-        elem_by_name[r.name] = elem_by_name.get(r.name, 0) + c.elem
-        env_copy += c.env_copy
-        lookup += c.lookup
-        subv += c.subv_lookup
-        state = r.state
+        name, state, cost = r
+        labels.append(name)
+        elem += cost.elem
+        elem_by_name[name] = elem_by_name.get(name, 0) + cost.elem
+        env_copy += cost.env_copy
+        lookup += cost.lookup
+        subv += cost.subv_lookup
         if measures is not None:
             measures.append(measure(state))
     r = step(state)

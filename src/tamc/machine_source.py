@@ -17,14 +17,19 @@ Environment copies are counted at the three transitions that
 duplicate an environment into a new stack entry (function push, tuple
 open, tuple continue); beta extends an environment instead and is
 charged only for the fresh bindings.
+
+States and stack entries are NamedTuples, as in `machine_common`; the
+machine values SClos and STup stay dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculi import DEFAULT_FUEL, ClashKind
 from .machine_common import (
+    UNIT_COST,
     ArgVal,
     Cost,
     MachineFinal,
@@ -53,27 +58,23 @@ class STup:
 SValue = SClos | STup
 
 
-@dataclass(frozen=True, slots=True)
-class Unev:
+class Unev(NamedTuple):
     term: SourceTerm
     env: Env
 
 
-@dataclass(frozen=True, slots=True)
-class PendingFn:
+class PendingFn(NamedTuple):
     term: SourceTerm
     env: Env
 
 
-@dataclass(frozen=True, slots=True)
-class PartialTuple:
+class PartialTuple(NamedTuple):
     pending: tuple  # source terms still to evaluate, original order
     env: Env
     done: tuple  # evaluated items, original order
 
 
-@dataclass(frozen=True, slots=True)
-class SState:
+class SState(NamedTuple):
     focus: object  # Unev or SValue
     stack: tuple
 
@@ -86,52 +87,52 @@ def init_stam(t: SourceTerm) -> SState:
 
 
 def step_stam(s: SState) -> Transition | MachineFinal:
-    f = s.focus
+    f, stack = s
     if isinstance(f, Unev):
-        t, env = f.term, f.env
+        t, env = f
         match t:
             case App(fn=fn, arg=arg):
                 entry = PendingFn(fn, env)
                 return Transition(
                     "usea1",
-                    SState(Unev(arg, env), s.stack + (entry,)),
+                    SState(Unev(arg, env), stack + (entry,)),
                     Cost(1 + len(env), env_copy=len(env)),
                 )
             case Proj(index=i, arg=arg):
                 return Transition(
-                    "usea2", SState(Unev(arg, env), s.stack + (ProjFrame(i),)), Cost(1)
+                    "usea2", SState(Unev(arg, env), stack + (ProjFrame(i),)), UNIT_COST
                 )
             case Tuple(items=items) if items:
                 entry = PartialTuple(items[:-1], env, ())
                 return Transition(
                     "usea3",
-                    SState(Unev(items[-1], env), s.stack + (entry,)),
+                    SState(Unev(items[-1], env), stack + (entry,)),
                     Cost(1 + len(env) + len(items), env_copy=len(env)),
                 )
             case Tuple(items=()):
                 # The environment is dropped: an empty tuple is already a value.
-                return Transition("usea4", SState(STup(()), s.stack), Cost(1))
+                return Transition("usea4", SState(STup(()), stack), UNIT_COST)
             case Abs():
-                return Transition("usea5", SState(SClos(t, env), s.stack), Cost(1))
+                return Transition("usea5", SState(SClos(t, env), stack), UNIT_COST)
             case Var(name=name):
                 for pos, (var, val) in enumerate(env, start=1):
                     if var.name == name:
                         return Transition(
                             "usub",
-                            SState(val, s.stack),
+                            SState(val, stack),
                             Cost(1 + pos, lookup=pos, subv_lookup=pos),
                         )
                 raise MachineInvariantError(f"unbound variable {name}")
         raise MachineInvariantError(f"not a source term in focus: {t!r}")
 
-    if not s.stack:
+    if not stack:
         return MachineFinal("successful")
-    head = s.stack[-1]
-    rest = s.stack[:-1]
+    head = stack[-1]
+    rest = stack[:-1]
     match head:
         case PendingFn(term=t, env=env):
             return Transition(
-                "esea1", SState(Unev(t, env), rest + (ArgVal(f),)), Cost(1)
+                "esea1", SState(Unev(t, env), rest + (ArgVal(f),)), UNIT_COST
             )
         case PartialTuple(pending=pending, env=env, done=done):
             if pending:
@@ -145,7 +146,7 @@ def step_stam(s: SState) -> Transition | MachineFinal:
             return Transition("esea3", SState(STup(items), rest), Cost(1 + len(items)))
         case ProjFrame(index=i):
             if isinstance(f, STup) and 1 <= i <= len(f.items):
-                return Transition("epi", SState(f.items[i - 1], rest), Cost(1))
+                return Transition("epi", SState(f.items[i - 1], rest), UNIT_COST)
             return MachineFinal("clash", ClashKind.PROJECTION)
         case ArgVal(value=v):
             if isinstance(f, STup):

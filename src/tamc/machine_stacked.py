@@ -18,35 +18,44 @@ machine once the initial term is closed.
 The two machines differ only in how the environment is represented
 and what that costs: `machine_int` holds the named representation and
 `machine_target` the positional one.
+
+States and stack entries are NamedTuples, like the records in
+`machine_common`: immutable, built at tuple speed, and compared as
+plain tuples, so Unev(t) == PendingFn(t); nothing in the library
+compares them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculi import ClashKind
-from .machine_common import ArgVal, Cost, MachineFinal, MachineInvariantError, ProjFrame, Transition
+from .machine_common import (
+    UNIT_COST,
+    ArgVal,
+    Cost,
+    MachineFinal,
+    MachineInvariantError,
+    ProjFrame,
+    Transition,
+)
 from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag
 
 
-@dataclass(frozen=True, slots=True)
-class Unev:
+class Unev(NamedTuple):
     term: object
 
 
-@dataclass(frozen=True, slots=True)
-class PendingFn:
+class PendingFn(NamedTuple):
     term: object
 
 
-@dataclass(frozen=True, slots=True)
-class PartialTuple:
+class PartialTuple(NamedTuple):
     pending: tuple  # still to evaluate, original order
     done: tuple  # evaluated items, original order
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     focus: object  # Unev or a value
     env: object  # as the environment representation defines it
     cstack: tuple
@@ -64,38 +73,38 @@ def stacked_machine(*, resolve, install, substitute, size):
     """
 
     def step(s: State) -> Transition | MachineFinal:
-        f = s.focus
+        f, env, cstack, astack = s
         if isinstance(f, Unev):
             t = f.term
             match t:
                 case App(fn=fn, arg=arg):
                     return Transition(
                         "usea1",
-                        State(Unev(arg), s.env, s.cstack + (PendingFn(fn),), s.astack),
-                        Cost(1),
+                        State(Unev(arg), env, cstack + (PendingFn(fn),), astack),
+                        UNIT_COST,
                     )
                 case Proj(index=i, arg=arg):
                     return Transition(
                         "usea2",
-                        State(Unev(arg), s.env, s.cstack + (ProjFrame(i),), s.astack),
-                        Cost(1),
+                        State(Unev(arg), env, cstack + (ProjFrame(i),), astack),
+                        UNIT_COST,
                     )
                 case Tuple(items=items) if items:
                     entry = PartialTuple(items[:-1], ())
                     return Transition(
                         "usea3",
-                        State(Unev(items[-1]), s.env, s.cstack + (entry,), s.astack),
+                        State(Unev(items[-1]), env, cstack + (entry,), astack),
                         Cost(1 + len(items)),
                     )
                 case Tuple(items=()):
                     return Transition(
-                        "usea4", State(Tuple(()), s.env, s.cstack, s.astack), Cost(1)
+                        "usea4", State(Tuple(()), env, cstack, astack), UNIT_COST
                     )
                 case Var() | PVar():
-                    val, pos = resolve(s.env, t)
+                    val, pos = resolve(env, t)
                     return Transition(
                         "usubv",
-                        State(val, s.env, s.cstack, s.astack),
+                        State(val, env, cstack, astack),
                         Cost(1 + pos, lookup=pos, subv_lookup=pos),
                     )
                 # Both closure classes list their two binder fields, the
@@ -104,58 +113,58 @@ def stacked_machine(*, resolve, install, substitute, size):
                     resolved = []
                     scanned = 0
                     for v in vs:
-                        val, pos = resolve(s.env, v)
+                        val, pos = resolve(env, v)
                         resolved.append(val)
                         scanned += pos
                     value = type(t)(w, p, b, ValBag(tuple(resolved)))
                     return Transition(
                         "usubw",
-                        State(value, s.env, s.cstack, s.astack),
+                        State(value, env, cstack, astack),
                         Cost(1 + len(vs), lookup=scanned),
                     )
                 case Closure(bag=ValBag(vals=())) | TClosure(bag=ValBag(vals=())):
                     # canonical empty bag, nothing to resolve
                     return Transition(
-                        "usubw", State(t, s.env, s.cstack, s.astack), Cost(1)
+                        "usubw", State(t, env, cstack, astack), UNIT_COST
                     )
                 case Closure() | TClosure():
                     raise MachineInvariantError("unevaluated closure with a non-empty value bag")
             raise MachineInvariantError(f"not a stacked-machine term in focus: {t!r}")
 
-        if not s.cstack:
-            if not s.astack:
+        if not cstack:
+            if not astack:
                 return MachineFinal("successful")
-            caller_cstack, caller_env = s.astack[-1]
+            caller_cstack, caller_env = astack[-1]
             return Transition(
                 "esea7",
-                State(f, caller_env, caller_cstack, s.astack[:-1]),
-                Cost(1),
+                State(f, caller_env, caller_cstack, astack[:-1]),
+                UNIT_COST,
             )
-        head = s.cstack[-1]
-        rest = s.cstack[:-1]
+        head = cstack[-1]
+        rest = cstack[:-1]
         match head:
             case PendingFn(term=t):
                 return Transition(
                     "esea1",
-                    State(Unev(t), s.env, rest + (ArgVal(f),), s.astack),
-                    Cost(1),
+                    State(Unev(t), env, rest + (ArgVal(f),), astack),
+                    UNIT_COST,
                 )
             case PartialTuple(pending=pending, done=done):
                 if pending:
                     entry = PartialTuple(pending[:-1], (f,) + done)
                     return Transition(
                         "esea6",
-                        State(Unev(pending[-1]), s.env, rest + (entry,), s.astack),
-                        Cost(1),
+                        State(Unev(pending[-1]), env, rest + (entry,), astack),
+                        UNIT_COST,
                     )
                 items = (f,) + done
                 return Transition(
-                    "esea3", State(Tuple(items), s.env, rest, s.astack), Cost(1 + len(items))
+                    "esea3", State(Tuple(items), env, rest, astack), Cost(1 + len(items))
                 )
             case ProjFrame(index=i):
                 if isinstance(f, Tuple) and 1 <= i <= len(f.items):
                     return Transition(
-                        "epi", State(f.items[i - 1], s.env, rest, s.astack), Cost(1)
+                        "epi", State(f.items[i - 1], env, rest, astack), UNIT_COST
                     )
                 return MachineFinal("clash", ClashKind.PROJECTION)
             case ArgVal(value=v):
@@ -166,10 +175,10 @@ def stacked_machine(*, resolve, install, substitute, size):
                         raise MachineInvariantError("applied closure still has a variable bag")
                     installed = install(f, v.items) if isinstance(v, Tuple) else None
                     if installed is not None:
-                        env, elem = installed
+                        callee_env, elem = installed
                         return Transition(
                             "ebeta",
-                            State(Unev(f.body), env, (), s.astack + ((rest, s.env),)),
+                            State(Unev(f.body), callee_env, (), astack + ((rest, env),)),
                             Cost(elem),
                         )
                     return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)

@@ -2,13 +2,16 @@
 
 Everything goes through main(argv) with captured stdout, the same
 path the console script takes. Exit codes: 0 ok, 1 failed check or
-failed run, 2 usage problems.
+failed run, 2 usage problems, 3 internal errors.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
+from tamc.analysis import MACHINES
 from tamc.bisim import BisimReport
 from tamc.cli import main
+from tamc.machine_common import MachineInvariantError
 from tamc.syntax import parse, print_int, print_target
 from tamc.terms import metrics
 from tamc.transforms import closure_convert, wrap
@@ -231,3 +234,21 @@ def test_bisim_names_the_file_whose_check_is_nested_too_deeply(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out.startswith("ok ")
     assert captured.err == f"tamc: {lam('deep-tuples.lam')}: input nested too deeply\n"
+
+
+def test_broken_machine_invariant_is_an_internal_error(monkeypatch, capsys):
+    def broken_step(state):
+        raise MachineInvariantError("unrecognized stack entry: 'boom'")
+
+    monkeypatch.setitem(MACHINES, "int", replace(MACHINES["int"], step=broken_step))
+    monkeypatch.setattr("tamc.bisim.step_itam", broken_step)
+    for argv in (
+        ["run", lam("identity.lam"), "--machine", "int"],
+        ["run", lam("identity.lam"), "--machine", "int", "--trace"],
+        ["bisim", lam("identity.lam")],
+        ["bench", "--family", "quadratic-wrap", "--n-max", "1"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "tamc: internal error: unrecognized stack entry: 'boom'\n", argv

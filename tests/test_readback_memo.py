@@ -7,7 +7,6 @@ tests check that the memo never changes a readback, that it cannot hide
 a broken machine from the walk, and that it really shares the work.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,7 +117,7 @@ def _corrupt_bottom_frame(s):
     if len(s.astack) < 3:
         return None
     (cstack, env), *above = s.astack
-    return replace(s, astack=((cstack + (ProjFrame(1),), env), *above))
+    return s._replace(astack=((cstack + (ProjFrame(1),), env), *above))
 
 
 def _identity_value(run, translate):
@@ -130,7 +129,7 @@ def _swap_named_env(s):
     if not s.env:
         return None
     other = _identity_value(run_itam, wrap)
-    return replace(s, env=tuple((var, other) for var, _ in s.env))
+    return s._replace(env=tuple((var, other) for var, _ in s.env))
 
 
 def _swap_positional_env(s):
@@ -139,7 +138,7 @@ def _swap_positional_env(s):
         return None
     other = _identity_value(run_ttam, closure_convert)
     env = TupledEnv(tuple(other for _ in s.env.lvals), tuple(other for _ in s.env.svals))
-    return replace(s, env=env)
+    return s._replace(env=env)
 
 
 def _only_through_memo(swap):
