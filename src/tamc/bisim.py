@@ -18,24 +18,24 @@ unwrap commutation is checked with plain equality: the intermediate
 reduction uses the same names as the source one, so nothing weaker is
 needed. naming mints fresh names, hence the alpha comparison there.
 
-Clause (c) translates and compares every reduct in full, but one set
-of identity-keyed memos, and one FreshSupply, serve the whole
-trajectory, so a reduct costs only the nodes that earlier reducts did
-not already have. This rests on the closure invariant: a closure's body
-mentions only the closure's own binders, so translating or
-alpha-comparing a body does not depend on where the body sits.
+Clause (c) translates and compares every reduct in full, but one
+identity-keyed memo per translation, one for the alpha comparison, and
+one FreshSupply serve the whole trajectory, so a reduct costs only the
+nodes that earlier reducts did not already have. This rests on the
+closure invariant: a closure's body mentions only the closure's own
+binders, so translating or alpha-comparing a body does not depend on
+where the body sits.
 Reduction never enters a closure body and the steppers share every
 subterm they do not rebuild, so a body, and every value carried from
 one reduct to the next, is the same object at each step. Hence unwrap
 is memoized at every node, as it is pure; naming names each closure
 body once, under the names minted for it the first time (its bag is
 still resolved against the enclosing lists), and memoizes every node
-under its enclosing lists; alpha_eq_int remembers the pairs, closure
-bodies among them, that it proved equal without consulting a free name
-or a binder above them; and the unwrap equality remembers every pair it
-proved equal. Each memo entry holds its key objects, so no id is reused
-while the memos live; terms are immutable; and only proven equalities
-are remembered, so a hit gives exactly what recomputing would, and an
+under its enclosing lists; and alpha_eq_int remembers the pairs that
+it proved equal without consulting a free name or a binder above them.
+Each memo entry holds its key objects, so no id is reused while the
+memos live; terms are immutable; and only proven equalities are
+remembered, so a hit gives exactly what recomputing would, and an
 ill-formed body, whose comparison consults its context, is never
 remembered. The memos are dropped when the clause ends. Called without
 a memo, each of these functions recomputes everything: that path is
@@ -79,7 +79,7 @@ from .machine_int import init_itam, readback_itam, step_itam
 from .machine_source import init_stam, readback_stam, step_stam
 from .machine_target import init_ttam, readback_ttam, step_ttam
 from .syntax import print_source
-from .terms import SourceTerm, alpha_eq_int, equal_source
+from .terms import SourceTerm, alpha_eq_int
 from .transforms import FreshSupply, closure_convert, naming, unwrap, wrap
 
 DEFAULT_BISIM_FUEL = 10_000
@@ -125,17 +125,16 @@ def _commutation_failures(s_terms, i_terms, t_terms, memoize: bool = True) -> li
     """Clause (c): the first reduct at which each reverse translation fails.
 
     unwrap, naming and alpha_eq_int are called once per reduct, by the
-    names this module imported, with one FreshSupply for all of them.
-    With memoize, one set of memos serves every reduct (see the module
-    docstring); without, each reduct is translated and compared from
-    scratch, as the oracle.
+    names this module imported, with one FreshSupply for all of them;
+    an unwrapped reduct is compared with ==. With memoize, one memo per
+    translation and one for the alpha comparison serve every reduct
+    (see the module docstring); without, each reduct is translated and
+    compared from scratch, as the oracle.
     """
-    unwrap_memo, naming_memo, alpha_memo, equal_memo = (
-        ({}, {}, {}, {}) if memoize else (None, None, None, None)
-    )
+    unwrap_memo, naming_memo, alpha_memo = ({}, {}, {}) if memoize else (None, None, None)
     failures = []
     for k, (st, it) in enumerate(zip(s_terms, i_terms)):
-        if not equal_source(unwrap(it, unwrap_memo), st, equal_memo):
+        if unwrap(it, unwrap_memo) != st:
             failures.append(f"unwrap of intermediate reduct {k} is not source reduct {k}")
             break
     supply = FreshSupply()

@@ -57,6 +57,8 @@ def _read_term(path: str):
             text = f.read()
     except OSError as e:
         return _fail_usage(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        return _fail_usage(f"cannot read {path}: {e}")
     try:
         return parse(text)
     except ParseError as e:

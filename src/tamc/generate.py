@@ -28,11 +28,8 @@ class GenConfig:
     max_depth: int = 6
     max_width: int = 3
     seed: int = 0
-    closedness: str = "closed"
 
     def __post_init__(self):
-        if self.closedness != "closed":
-            raise ValueError("only the 'closed' policy is supported")
         if self.max_depth < 1 or self.max_width < 1:
             raise ValueError("max_depth and max_width must be at least 1")
 

@@ -11,8 +11,9 @@ constructors:
   of one of two implicit tuples ("l" for the wrapped values, "s" for
   the parameters), and closures carry the expected arities of both.
 
-All nodes are immutable. Sequences are stored as tuples so terms hash
-and compare structurally. Projection indices are 1-based throughout.
+All nodes are immutable. Sequences are tuples, so terms hash and
+compare structurally; constructors take them as tuples and convert
+nothing. Projection indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class Abs:
     body: "SourceTerm"
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameters: {names}")
@@ -57,9 +57,6 @@ class Proj:
 class Tuple:
     items: tuple["AnyTerm", ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
 
 @dataclass(frozen=True, slots=True)
 class VarBag:
@@ -67,18 +64,12 @@ class VarBag:
 
     vars: tuple[Var, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-
 
 @dataclass(frozen=True, slots=True)
 class ValBag:
     """Bag holding already evaluated values."""
 
     vals: tuple["AnyTerm", ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vals", tuple(self.vals))
 
 
 def _canonical_bag(bag):
@@ -103,8 +94,6 @@ class Closure:
     bag: "VarBag | ValBag"
 
     def __post_init__(self):
-        object.__setattr__(self, "wrapped", tuple(self.wrapped))
-        object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "bag", _canonical_bag(self.bag))
 
 
@@ -123,9 +112,6 @@ class PVar:
 @dataclass(frozen=True, slots=True)
 class PVarBag:
     pvars: tuple[PVar, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pvars", tuple(self.pvars))
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,13 +485,9 @@ def alpha_eq_source(
     a binder above them: such a pair is equal wherever it sits, so a
     later comparison that meets the same two objects answers at once.
     (id(a), id(b)) maps to (a, b) for two subterms equal in every
-    context, and (id(b1), id(w1), id(p1), id(b2), id(w2), id(p2)) maps
-    to those six objects for two closure bodies equal under their own
-    binder lists. A well-formed closure body mentions only its own
-    binders, so every closure-body pair proven equal is remembered.
-    Only equal pairs enter the memo, terms are immutable, and each
-    entry holds its keyed objects, so no id is reused while the memo
-    lives and a hit is what comparing would give. Without a memo
+    context. Only equal pairs enter the memo, terms are immutable, and
+    each entry holds its keyed objects, so no id is reused while the
+    memo lives and a hit is what comparing would give. Without a memo
     nothing is remembered.
     """
     # The lowest binder level a variable matched since the innermost
@@ -538,14 +520,11 @@ def alpha_eq_source(
             case Abs(pa, ba), Abs(pb, bb):
                 eq = len(pa) == len(pb) and go(ba, bb, ma.child(pa), mb.child(pb))
             case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
-                eq = len(w1) == len(w2) and len(p1) == len(p2)
-                if eq:
-                    key = (id(b1), id(w1), id(p1), id(b2), id(w2), id(p2))
-                    if memo is None or key not in memo:
-                        # the body comes first, so low now covers the body alone
-                        eq = go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
-                        if eq and memo is not None and low >= ma.next:
-                            memo[key] = (b1, w1, p1, b2, w2, p2)
+                eq = (
+                    len(w1) == len(w2)
+                    and len(p1) == len(p2)
+                    and go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
+                )
                 if eq:
                     match g1, g2:
                         case VarBag(v1), VarBag(v2):
@@ -575,41 +554,3 @@ def alpha_eq_source(
 
 
 alpha_eq_int = alpha_eq_source
-
-
-def equal_source(a: SourceTerm, b: SourceTerm, memo: dict | None = None) -> bool:
-    """Structural equality a == b that can remember the pairs it proves.
-
-    memo, when given, is a dict that one caller passes to every
-    comparison of one run: (id(a), id(b)) maps to (a, b) for every pair
-    of subterms found equal, so a later comparison that meets the same
-    two objects answers at once. Equality does not depend on where a
-    subterm sits, terms are immutable, and each entry holds its keyed
-    objects, so a hit is what comparing would give. Without a memo this
-    is a == b.
-    """
-    if memo is None:
-        return a == b
-
-    def go(a, b) -> bool:
-        if a is b:
-            return True
-        key = (id(a), id(b))
-        if key in memo:
-            return True
-        match a, b:
-            case App(f1, x1), App(f2, x2):
-                eq = go(f1, f2) and go(x1, x2)
-            case Proj(i, x1), Proj(j, x2):
-                eq = i == j and go(x1, x2)
-            case Tuple(xs), Tuple(ys):
-                eq = len(xs) == len(ys) and all(go(x, y) for x, y in zip(xs, ys))
-            case Abs(pa, ba), Abs(pb, bb):
-                eq = pa == pb and go(ba, bb)
-            case _:
-                return a == b  # variables, and anything not a source term
-        if eq:
-            memo[key] = (a, b)
-        return eq
-
-    return go(a, b)

@@ -48,8 +48,8 @@ class FreshSupply:
 
     __slots__ = ("counter",)
 
-    def __init__(self, start: int = 0):
-        self.counter = start
+    def __init__(self):
+        self.counter = 0
 
     def _take(self, base: str) -> Var:
         v = Var(f"{base}#{self.counter}")

@@ -5,9 +5,14 @@ tests also verify it can fail: a broken reverse translation must be
 caught, not absorbed.
 """
 
+import pytest
+
+from tamc import bisim
 from tamc.analysis import family_fun_explosion, family_tuple_explosion
 from tamc.bisim import bisim_check
+from tamc.calculi import ClashKind, ClashOutcome, step_target
 from tamc.generate import GenConfig, gen_corpus
+from tamc.machine_common import MachineFinal, Transition
 from tamc.syntax import parse
 from tamc.terms import Var
 
@@ -109,3 +114,140 @@ def test_report_summary_format():
     s = rep.summary()
     assert s.startswith("ok clash:projection")
     assert "beta=0" in s
+
+
+# Each failure message bisim_check can give for clauses (a) and (d) and
+# for the machine walks of clause (b), reached by a mutant of one of
+# bisim's own names or by a small machine fuel. The interpreter
+# trajectory also drives the target machine's walk, so a mutant that
+# makes clause (a) or (d) fail makes that walk fail as well.
+
+IDENTITY = "(fun(x) -> x) <fun(y) -> y>"
+CLASH = "pi 2 <fun(y) -> y>"
+
+
+def _target_trajectory(change):
+    """A mutant _interp_trajectory that passes the target run through change."""
+
+    def mutant(real):
+        def trajectory(stepf, t, fuel):
+            out = real(stepf, t, fuel)
+            return change(*out) if stepf is step_target else out
+
+        return trajectory
+
+    return "_interp_trajectory", mutant
+
+
+def _step(change):
+    """A mutant step_stam that passes every result through change."""
+    return "step_stam", lambda real: lambda state: change(real(state))
+
+
+def _final(final):
+    """Replace every MachineFinal by final."""
+    return _step(lambda r: final if isinstance(r, MachineFinal) else r)
+
+
+def _on(name, change):
+    """Pass every transition called name through change."""
+    return _step(lambda r: change(r) if isinstance(r, Transition) and r.name == name else r)
+
+
+WALK_CASES = [
+    (
+        "label-sequences-differ",
+        IDENTITY,
+        _target_trajectory(lambda terms, labels, final: (terms[:-1], labels[:-1], final)),
+        None,
+        (
+            "label sequences differ: source 1, int 1, target 0",
+            "target machine: extra principal step beta at index 0",
+        ),
+    ),
+    (
+        "outcomes-differ",
+        CLASH,
+        _target_trajectory(
+            lambda terms, labels, final: (terms, labels, ClashOutcome(ClashKind.TUPLE, ()))
+        ),
+        None,
+        (
+            "outcomes differ: source clash:projection, int clash:projection, target clash:tuple",
+            "target machine: clash kind projection vs interpreter tuple",
+        ),
+    ),
+    (
+        "initial-readback",
+        IDENTITY,
+        ("init_stam", lambda real: lambda u: real(parse("<>"))),
+        None,
+        ("source machine: initial readback differs",),
+    ),
+    (
+        "stopped-early",
+        IDENTITY,
+        _on("ebeta", lambda r: MachineFinal("successful")),
+        None,
+        ("source machine: stopped after 0 principal steps, interpreter took 1",),
+    ),
+    (
+        "successful-but-clash",
+        CLASH,
+        _final(MachineFinal("successful")),
+        None,
+        ("source machine: successful but interpreter ended clash",),
+    ),
+    (
+        "clash-but-value",
+        IDENTITY,
+        _final(MachineFinal("clash", ClashKind.TUPLE)),
+        None,
+        ("source machine: clash but interpreter ended value",),
+    ),
+    (
+        "clash-kind",
+        CLASH,
+        _final(MachineFinal("clash", ClashKind.TUPLE)),
+        None,
+        ("source machine: clash kind tuple vs interpreter projection",),
+    ),
+    (
+        "extra-principal-step",
+        "fun(x) -> x",
+        _on("usea5", lambda r: r._replace(name="ebeta")),
+        None,
+        ("source machine: extra principal step beta at index 0",),
+    ),
+    (
+        "step-label",
+        IDENTITY,
+        _on("ebeta", lambda r: r._replace(name="epi")),
+        None,
+        ("source machine: step 0 label pi vs interpreter beta",),
+    ),
+    (
+        "machine-fuel",
+        IDENTITY,
+        None,
+        1,
+        tuple(
+            f"{m} machine: ran out of machine fuel on a terminating term"
+            for m in ("source", "int", "target")
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "program, mutant, machine_fuel, failures",
+    [case[1:] for case in WALK_CASES],
+    ids=[case[0] for case in WALK_CASES],
+)
+def test_each_walk_failure_message_is_reachable(program, mutant, machine_fuel, failures, monkeypatch):
+    if mutant is not None:
+        name, make = mutant
+        monkeypatch.setattr(bisim, name, make(getattr(bisim, name)))
+    rep = bisim_check(parse(program), machine_fuel=machine_fuel)
+    assert not rep.ok
+    assert rep.failures == failures

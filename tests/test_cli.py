@@ -8,6 +8,8 @@ failed run, 2 usage problems, 3 internal errors.
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from tamc.analysis import MACHINES
 from tamc.bisim import BisimReport
 from tamc.cli import main
@@ -101,6 +103,21 @@ def test_run_input_errors(tmp_path, capsys):
     open_t.write_text("x <y>")
     assert main(["run", str(open_t)]) == 2
     assert "open" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["run"], ["convert", "--to", "int"], ["metrics"], ["bisim"]], ids=lambda a: a[0]
+)
+def test_non_utf8_input_is_a_usage_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.lam"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([argv[0], str(bad), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"tamc: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_fuel_env_override(monkeypatch, capsys):

@@ -9,8 +9,6 @@ from tamc.terms import free_vars, is_value_source
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GenConfig(closedness="open")
-    with pytest.raises(ValueError):
         GenConfig(max_depth=0)
     with pytest.raises(ValueError):
         GenConfig(max_width=0)

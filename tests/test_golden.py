@@ -4,7 +4,8 @@ The files under tests/data were written by `tamc bench --family F
 --n-max 8` and `tamc run corpus/mixed-pipeline.lam --machine M
 --trace` before the intermediate and target machines were merged into
 one stacked machine. They pin the cost model (the bench counters) and
-the trace format: a change to either shows up here first.
+the trace format: a change to either shows up here first. The two
+bisim reports pin the gate's verdicts and step counts.
 """
 
 from pathlib import Path
@@ -39,3 +40,18 @@ def test_run_dump_states_is_unchanged(machine, capsysbinary):
     assert main(["run", program, "--machine", machine, "--dump-states"]) == 0
     want = (DATA / f"run-mixed-pipeline-{machine}-dump.txt").read_bytes()
     assert capsysbinary.readouterr().out == want
+
+
+def test_bisim_generated_report_is_unchanged(monkeypatch, capsysbinary):
+    # written by `tamc bisim --count 200`
+    monkeypatch.delenv("TAMC_FUEL", raising=False)
+    assert main(["bisim", "--count", "200"]) == 0
+    assert capsysbinary.readouterr().out == (DATA / "bisim-count200.txt").read_bytes()
+
+
+def test_bisim_corpus_report_is_unchanged(capsysbinary):
+    # written by `tamc bisim --fuel 2000` on the sorted corpus/*.lam; at the
+    # default fuel omega alone takes seconds
+    programs = sorted(str(p) for p in (ROOT / "corpus").glob("*.lam"))
+    assert main(["bisim", "--fuel", "2000", *programs]) == 0
+    assert capsysbinary.readouterr().out == (DATA / "bisim-corpus-fuel2000.txt").read_bytes()

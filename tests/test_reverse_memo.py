@@ -1,17 +1,15 @@
 """The memos that clause (c) of bisim_check shares across a trajectory.
 
 `bisim._commutation_failures` passes one memo per function to every
-unwrap, naming, alpha comparison and unwrap equality of one trajectory,
-and one FreshSupply to every naming. Translating and comparing without
-a memo is the oracle: these tests check that the memos never change a
-verdict or the reduct it names, that a corrupted or ill-formed closure
-body cannot hide behind an earlier hit, and that the memos really share
-the work.
+unwrap, naming and alpha comparison of one trajectory, and one
+FreshSupply to every naming; an unwrapped reduct is compared with ==.
+Translating and comparing without a memo is the oracle: these tests
+check that the memos never change a verdict or the reduct it names,
+that a corrupted or ill-formed closure body cannot hide behind an
+earlier hit, and that the memos really share the work.
 """
 
 from pathlib import Path
-
-import pytest
 
 from tamc import bisim
 from tamc.bisim import _commutation_failures, _interp_trajectory, bisim_check
@@ -31,7 +29,6 @@ from tamc.terms import (
     Var,
     VarBag,
     alpha_eq_int,
-    equal_source,
 )
 from tamc.transforms import FreshSupply, closure_convert, naming, unwrap, wrap
 
@@ -294,7 +291,6 @@ def test_alpha_memo_remembers_closed_bodies_and_values():
     memo: dict = {}
     assert alpha_eq_int(a, b, memo)
     assert (id(a), id(b)) in memo
-    assert (id(a.body), id(a.wrapped), id(a.params), id(b.body), id(b.wrapped), id(b.params)) in memo
     swapped = Closure((X,), (Y,), App(Y, Tuple((X,))), a.bag)
     assert not alpha_eq_int(a, swapped, memo)
     assert not alpha_eq_int(a, swapped)
@@ -307,33 +303,6 @@ def test_alpha_memo_does_not_remember_a_variable_bag():
     assert alpha_eq_int(Abs((X,), a), Abs((X,), b), memo)
     assert (id(a), id(b)) not in memo
     assert not alpha_eq_int(Abs((X, Q), a), Abs((Q, X), b), memo)
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        (App(X, Tuple((Y,))), App(X, Tuple((Y,)))),
-        (App(X, Tuple((Y,))), App(X, Tuple((X,)))),
-        (Abs((X,), X), Abs((Y,), Y)),
-        (Proj(1, X), Proj(2, X)),
-        (Tuple((X, Y)), Tuple((X,))),
-        (Closure((), (), X, ValBag(())), Closure((), (), X, ValBag(()))),
-    ],
-)
-def test_equal_source_is_plain_equality(a, b):
-    memo: dict = {}
-    assert equal_source(a, b, memo) == (a == b)
-    assert equal_source(a, b, memo) == (a == b)
-    assert equal_source(a, b) == (a == b)
-
-
-def test_equal_source_remembers_only_equal_pairs():
-    a = Tuple((App(X, Y), Abs((X,), X)))
-    memo: dict = {}
-    assert equal_source(a, Tuple((App(X, Y), Abs((X,), X))), memo)
-    assert len(memo) == 3  # the tuple, the application and the abstraction
-    assert not equal_source(a, Tuple((App(X, Y), Abs((Y,), Y))), memo)
-    assert len(memo) == 4  # only the application's new pair
 
 
 def test_unwrap_memo_returns_the_remembered_node():
