@@ -318,11 +318,16 @@ class BenchRow:
     lookup_ops: int
 
 
+class OutOfFuelError(Exception):
+    """A bench run ran out of fuel, so it has no counters to report."""
+
+
 def bench(family: str, ns, fuel: int = DEFAULT_FUEL) -> list[BenchRow]:
     """Run every machine in MACHINES on each family instance.
 
     size/width/height describe the source instance; the machine column
-    says which machine produced the counter columns.
+    says which machine produced the counter columns. A run that fuel
+    cuts short has no row: the first one raises OutOfFuelError.
     """
     builder = FAMILIES.get(family)
     if builder is None:
@@ -333,6 +338,10 @@ def bench(family: str, ns, fuel: int = DEFAULT_FUEL) -> list[BenchRow]:
         m = metrics(t)
         for machine in MACHINES:
             rec = MACHINES[machine].run(t, fuel)
+            if rec.final == "fuel":
+                raise OutOfFuelError(
+                    f"{family} n={n}: {machine} machine ran out of fuel after {rec.steps} transitions"
+                )
             rows.append(
                 BenchRow(
                     family=family,

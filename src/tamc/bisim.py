@@ -145,23 +145,21 @@ def _commutation_failures(s_terms, i_terms, t_terms, memoize: bool = True) -> li
     return failures
 
 
-def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
-    """Drive one machine against its interpreter trajectory.
+def _machine_walk(init, stepf, readback, terms, labels, ended, fuel, name) -> list[str]:
+    """Drive one machine against its interpreter trajectory; return the failures.
 
-    Returns (failures, clash_kind_or_None, finished: bool).
+    ended is the interpreter's outcome as _outcome_str classifies it.
     """
-    failures = []
-    ended = _outcome_str(outcome)
-    state = init
-    j = 0
     memo: dict = {}  # shared by this walk's readbacks only
+    state = init
     rb = readback(state, memo)
     if rb != terms[0]:
-        failures.append(f"{name}: initial readback differs")
-        return failures, None, False
+        return [f"{name}: initial readback differs"]
+    j = 0
     for _ in range(fuel):
         r = stepf(state)
         if isinstance(r, MachineFinal):
+            failures = []
             if j != len(labels):
                 failures.append(
                     f"{name}: stopped after {j} principal steps, interpreter took {len(labels)}"
@@ -175,34 +173,25 @@ def _machine_walk(init, stepf, readback, terms, labels, outcome, fuel, name):
                     failures.append(
                         f"{name}: clash kind {r.clash.value} vs interpreter {ended.removeprefix('clash:')}"
                     )
-            return failures, r.clash, True
+            return failures
         nxt_rb = readback(r.state, memo)
         label = PRINCIPAL.get(r.name)
         if label is not None:
             if j >= len(labels):
                 # interpreter ran out of fuel here; prefix agreed, stop
                 if ended == "fuel":
-                    return failures, None, False
-                failures.append(f"{name}: extra principal step {label.value} at index {j}")
-                return failures, None, False
+                    return []
+                return [f"{name}: extra principal step {label.value} at index {j}"]
             if labels[j] is not label:
-                failures.append(
-                    f"{name}: step {j} label {label.value} vs interpreter {labels[j].value}"
-                )
-                return failures, None, False
+                return [f"{name}: step {j} label {label.value} vs interpreter {labels[j].value}"]
             j += 1
             if nxt_rb != terms[j]:
-                failures.append(f"{name}: readback after principal step {j} differs")
-                return failures, None, False
-        else:
-            if nxt_rb != rb:
-                failures.append(f"{name}: overhead transition {r.name} changed readback")
-                return failures, None, False
+                return [f"{name}: readback after principal step {j} differs"]
+        elif nxt_rb != rb:
+            return [f"{name}: overhead transition {r.name} changed readback"]
         state = r.state
         rb = nxt_rb
-    if ended != "fuel":
-        failures.append(f"{name}: ran out of machine fuel on a terminating term")
-    return failures, None, False
+    return [] if ended == "fuel" else [f"{name}: ran out of machine fuel on a terminating term"]
 
 
 def bisim_check(
@@ -235,13 +224,12 @@ def bisim_check(
 
     # (b) machine implementation, one machine at a time
     mtraj = (
-        (init_stam(u), step_stam, readback_stam, s_terms, s_labels, s_out, "source machine"),
-        (init_itam(wu), step_itam, readback_itam, i_terms, i_labels, i_out, "int machine"),
-        (init_ttam(cu), step_ttam, readback_ttam, t_terms, t_labels, t_out, "target machine"),
+        (init_stam(u), step_stam, readback_stam, s_terms, s_labels, s_end, "source machine"),
+        (init_itam(wu), step_itam, readback_itam, i_terms, i_labels, i_end, "int machine"),
+        (init_ttam(cu), step_ttam, readback_ttam, t_terms, t_labels, t_end, "target machine"),
     )
-    for init, stepf, readback, terms, labels, outcome, name in mtraj:
-        fs, _, _ = _machine_walk(init, stepf, readback, terms, labels, outcome, machine_fuel, name)
-        failures.extend(fs)
+    for init, stepf, readback, terms, labels, ended, name in mtraj:
+        failures += _machine_walk(init, stepf, readback, terms, labels, ended, machine_fuel, name)
 
     beta = sum(1 for l in s_labels if l.value == "beta")
     return BisimReport(

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import machine_source, machine_stacked
-from .analysis import FAMILIES, MACHINES, bench, write_bench_csv
+from .analysis import FAMILIES, MACHINES, OutOfFuelError, bench, write_bench_csv
 from .bisim import DEFAULT_BISIM_FUEL, bisim_check
 from .calculi import DEFAULT_FUEL
 from .generate import GenConfig, gen_corpus
@@ -267,8 +267,15 @@ def _cmd_bench(args) -> int:
         return _fail_usage("fuel must be a positive integer")
     if args.n_max < 0:
         return _fail_usage("n-max must be a non-negative integer")
-    ns = range(1, args.n_max + 1)
-    rows = bench(args.family, ns, fuel=fuel)
+    rows = []
+    for n in range(1, args.n_max + 1):
+        # main names args.file when the instance is nested too deeply
+        args.file = f"{args.family} n={n}"
+        try:
+            rows += bench(args.family, (n,), fuel=fuel)
+        except OutOfFuelError as e:
+            print(f"tamc: {e}", file=sys.stderr)
+            return 1
     if args.machine != "all":
         rows = [r for r in rows if r.machine == args.machine]
     if args.csv:

@@ -25,23 +25,18 @@ from .terms import Abs, App, Proj, SourceTerm, Tuple, Var
 
 @dataclass(frozen=True, slots=True)
 class GenConfig:
-    max_depth: int = 6
-    max_width: int = 3
     seed: int = 0
 
-    def __post_init__(self):
-        if self.max_depth < 1 or self.max_width < 1:
-            raise ValueError("max_depth and max_width must be at least 1")
 
-
+_MAX_DEPTH = 6
+_MAX_WIDTH = 3
 _ORACLE_FUEL = 200
 _MAX_RETRIES = 200
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
         self.counter = 0
 
     def fresh_params(self, k: int) -> tuple:
@@ -68,22 +63,22 @@ class _Gen:
         roll = rng.random()
         if roll < 0.30:
             # redex: literal abstraction applied to a matching tuple
-            k = rng.randint(0, self.cfg.max_width)
+            k = rng.randint(0, _MAX_WIDTH)
             params = self.fresh_params(k)
             body = self.go(depth - 1, scope + params)
             args = Tuple(tuple(self.go(depth - 2, scope) for _ in range(k)))
             return App(Abs(params, body), args)
         if roll < 0.45:
             # projection into a literal tuple of visible width
-            w = rng.randint(1, self.cfg.max_width)
+            w = rng.randint(1, _MAX_WIDTH)
             i = rng.randint(1, w)
             items = tuple(self.go(depth - 2, scope) for _ in range(w))
             return Proj(i, Tuple(items))
         if roll < 0.60:
-            w = rng.randint(0, self.cfg.max_width)
+            w = rng.randint(0, _MAX_WIDTH)
             return Tuple(tuple(self.go(depth - 1, scope) for _ in range(w)))
         if roll < 0.85:
-            k = rng.randint(0, self.cfg.max_width - 1)
+            k = rng.randint(0, _MAX_WIDTH - 1)
             params = self.fresh_params(k)
             return Abs(params, self.go(depth - 1, scope + params))
         if scope and rng.random() < 0.5:
@@ -95,11 +90,11 @@ class _Gen:
 
 def gen_corpus(cfg: GenConfig, count: int) -> list[SourceTerm]:
     rng = random.Random(cfg.seed)
-    gen = _Gen(rng, cfg)
+    gen = _Gen(rng)
     out = []
     for _ in range(count):
         for _ in range(_MAX_RETRIES):
-            t = gen.go(cfg.max_depth, ())
+            t = gen.go(_MAX_DEPTH, ())
             r = normalize_source(t, fuel=_ORACLE_FUEL)
             if not isinstance(r.final, ClashOutcome):
                 out.append(t)
@@ -107,7 +102,3 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[SourceTerm]:
         else:
             raise RuntimeError("generator kept producing clashing terms")
     return out
-
-
-def gen_term(cfg: GenConfig) -> SourceTerm:
-    return gen_corpus(cfg, 1)[0]

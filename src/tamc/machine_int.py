@@ -12,7 +12,7 @@ from __future__ import annotations
 from .calculi import DEFAULT_FUEL, subst_int
 from .machine_common import MachineInvariantError, RunRecord, run_loop
 from .machine_stacked import State, Unev, stacked_machine
-from .terms import Closure, IntTerm, Var, closed_int, prime_int, size_int, well_formed_int
+from .terms import Closure, IntTerm, Var, closed_int, prime_int, well_formed_int
 
 Env = tuple  # of (Var, value) pairs, innermost binding first
 
@@ -54,7 +54,7 @@ def _substitute(t: IntTerm, env: Env) -> IntTerm:
 
 
 step_itam, measure_itam, readback_itam = stacked_machine(
-    resolve=_resolve, install=_install, substitute=_substitute, size=size_int
+    resolve=_resolve, install=_install, substitute=_substitute
 )
 
 

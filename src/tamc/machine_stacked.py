@@ -39,7 +39,7 @@ from .machine_common import (
     ProjFrame,
     Transition,
 )
-from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag
+from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag, size_int
 
 
 class Unev(NamedTuple):
@@ -62,14 +62,13 @@ class State(NamedTuple):
     astack: tuple  # of (cstack, env) caller frames, most recent last
 
 
-def stacked_machine(*, resolve, install, substitute, size):
+def stacked_machine(*, resolve, install, substitute):
     """The (step, measure, readback) of the machine over one environment representation.
 
     resolve(env, var) gives (value, scan position), the position being
     the lookup cost; install(closure, args) gives (env, elem cost) for
     ebeta, or None when args miss the closure's arity; substitute(term,
-    env) puts the whole environment into a term, for readback; size is
-    the term size the overhead measure counts.
+    env) puts the whole environment into a term, for readback.
     """
 
     def step(s: State) -> Transition | MachineFinal:
@@ -245,10 +244,10 @@ def stacked_machine(*, resolve, install, substitute, size):
         for entry in entries:
             match entry:
                 case PendingFn(term=t):
-                    total += size(t)
+                    total += size_int(t)
                 case PartialTuple(pending=pending):
                     total += len(pending)
-                    total += sum(size(p) for p in pending)
+                    total += sum(size_int(p) for p in pending)
                 case _:
                     pass
         return total
@@ -256,7 +255,7 @@ def stacked_machine(*, resolve, install, substitute, size):
     def measure(s: State) -> int:
         total = 0
         if isinstance(s.focus, Unev):
-            total += size(s.focus.term)
+            total += size_int(s.focus.term)
         total += _overhead(s.cstack)
         for caller_cstack, _ in s.astack:
             total += _overhead(caller_cstack)

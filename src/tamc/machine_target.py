@@ -22,7 +22,6 @@ from .terms import (
     TargetTerm,
     closed_target,
     prime_target,
-    size_target,
     well_formed_target,
 )
 
@@ -71,7 +70,7 @@ def _substitute(t: TargetTerm, env: TupledEnv) -> TargetTerm:
 
 
 step_ttam, measure_ttam, readback_ttam = stacked_machine(
-    resolve=_resolve, install=_install, substitute=_substitute, size=size_target
+    resolve=_resolve, install=_install, substitute=_substitute
 )
 
 

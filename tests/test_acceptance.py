@@ -32,7 +32,7 @@ from tamc.analysis import (
     unfolded_size_from_int,
     unfolded_size_from_target,
 )
-from tamc.bisim import _interp_trajectory, _machine_walk, bisim_check
+from tamc.bisim import _interp_trajectory, _machine_walk, _outcome_str, bisim_check
 from tamc.calculi import (
     ClashOutcome,
     FuelExhausted,
@@ -152,8 +152,8 @@ def test_criterion_3_machine_implementation(example_corpus, full_corpus):
             (step_target, cu, init_ttam, step_ttam, readback_ttam, "target"),
         ):
             terms, labels, out = _interp_trajectory(stepc, t, INTERP_FUEL)
-            fails, _, _ = _machine_walk(
-                init(t), stepm, readback, terms, labels, out, MACHINE_FUEL, mname
+            fails = _machine_walk(
+                init(t), stepm, readback, terms, labels, _outcome_str(out), MACHINE_FUEL, mname
             )
             assert fails == [], (name, fails)
 

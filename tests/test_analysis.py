@@ -10,6 +10,7 @@ import io
 import pytest
 
 from tamc.analysis import (
+    OutOfFuelError,
     audit_measure,
     bench,
     bilinear_ratio,
@@ -225,6 +226,14 @@ def test_bench_rows_and_csv():
     assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == "tuple-explosion" and first[2] == "source"
+
+
+def test_bench_raises_at_the_first_run_cut_short_by_fuel():
+    # fuel 20 finishes every run at n = 1 and 2, and cuts the source machine at n = 3
+    assert [r.total for r in bench("quadratic-wrap", [1, 2], fuel=20)] == [8, 9, 9, 18, 19, 19]
+    msg = "quadratic-wrap n=3: source machine ran out of fuel after 20 transitions"
+    with pytest.raises(OutOfFuelError, match=msg):
+        bench("quadratic-wrap", [1, 2, 3], fuel=20)
 
 
 def test_bench_rejects_unknown_family():

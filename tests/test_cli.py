@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tamc.analysis import MACHINES
+from tamc.analysis import FAMILIES, MACHINES
 from tamc.bisim import BisimReport
 from tamc.cli import main
 from tamc.machine_common import MachineInvariantError
@@ -198,6 +198,38 @@ def test_bench_csv_file(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 10
     assert lines[0].startswith("family,n,machine,")
+
+
+def test_bench_rejects_runs_cut_short_by_fuel(tmp_path, monkeypatch, capsys):
+    # a cut run's counters would pass for a finished run's
+    monkeypatch.delenv("TAMC_FUEL", raising=False)
+    assert main(["bench", "--family", "quadratic-wrap", "--n-max", "3", "--fuel", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: quadratic-wrap n=1: source machine ran out of fuel after 5 transitions\n"
+
+    out = tmp_path / "bench.csv"
+    monkeypatch.setenv("TAMC_FUEL", "3")
+    assert main(["bench", "--family", "tuple-explosion", "--n-max", "2", "--csv", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: tuple-explosion n=1: source machine ran out of fuel after 3 transitions\n"
+    assert not out.exists()
+
+
+def test_bench_names_the_instance_nested_too_deeply(monkeypatch, capsys):
+    real = FAMILIES["quadratic-wrap"]
+
+    def builder(n):
+        if n == 2:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(n)
+
+    monkeypatch.setitem(FAMILIES, "quadratic-wrap", builder)
+    assert main(["bench", "--family", "quadratic-wrap", "--n-max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: quadratic-wrap n=2: input nested too deeply\n"
 
 
 def test_metrics_output(tmp_path, capsys):

@@ -20,7 +20,6 @@ from tamc.machine_source import init_stam, readback_stam, step_stam
 from tamc.machine_stacked import PendingFn, ProjFrame, Unev, stacked_machine
 from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
 from tamc.syntax import parse
-from tamc.terms import size_int
 from tamc.transforms import closure_convert, wrap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -212,7 +211,6 @@ def test_memo_substitutes_at_most_once_per_transition(text, fuel):
         resolve=machine_int._resolve,
         install=machine_int._install,
         substitute=substitute,
-        size=size_int,
     )
     u = OMEGA if text is None else parse(text)
     memo: dict = {}
