@@ -167,12 +167,14 @@ def subst_source(t: SourceTerm, params: tuple, vals: tuple) -> SourceTerm:
     return subst_source_any(t, mapping)
 
 
-def _subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
+def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
     """Resolve every variable outside closure bodies to a value.
 
-    Closure bodies are never entered, only their bags are rewritten:
-    a variable bag becomes the value bag of its resolved entries. So no
-    capture can occur.
+    resolve(v) gives the value of variable v. Closure bodies are never
+    entered, only their bags are rewritten: a variable bag becomes the
+    value bag of its resolved entries. So no capture can occur. Beta in
+    both calculi substitutes through it, and so does the stacked
+    machine's readback, with the environment's own lookup.
     """
 
     def go(t):
@@ -208,7 +210,7 @@ def subst_int(
     """Simultaneous substitution for the intermediate calculus.
 
     Replaces the wrapped variables with the bag values and the params
-    with the argument values, outside closure bodies (see _subst_bags);
+    with the argument values, outside closure bodies (see subst_bags);
     the term's free variables must all be covered.
     """
     if len(wrapped) != len(bagvals) or len(params) != len(argvals):
@@ -226,14 +228,14 @@ def subst_int(
             raise ValueError(f"free variable {v.name} not covered by the substitution")
         return r
 
-    return _subst_bags(t, lookup)
+    return subst_bags(t, lookup)
 
 
 def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
     """Projecting substitution: resolve indexed variables on the fly.
 
     pi_i l becomes lvals[i-1] and pi_j s becomes svals[j-1], outside
-    closure bodies (see _subst_bags). The supplied tuples must cover
+    closure bodies (see subst_bags). The supplied tuples must cover
     the term's norms.
     """
 
@@ -246,7 +248,7 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
             raise ValueError(f"pi{p.index} {p.base} outside the supplied {len(vals)} values")
         return vals[p.index - 1]
 
-    return _subst_bags(t, resolve)
+    return subst_bags(t, resolve)
 
 
 _VALUE = ValueOutcome()

@@ -4,12 +4,13 @@ The environment is a tuple of (Var, value) bindings, the wrapped
 variables before the parameters. A variable resolves by scanning for
 its name and its lookup costs the scan position; ebeta builds one
 binding per wrapped variable and parameter and costs 1 + |wrapped| +
-|params|. The machine itself is `machine_stacked`.
+|params|. Those two are all this module gives `machine_stacked`, which
+is the machine itself; readback substitutes through the same lookup.
 """
 
 from __future__ import annotations
 
-from .calculi import DEFAULT_FUEL, subst_int
+from .calculi import DEFAULT_FUEL
 from .machine_common import MachineInvariantError, RunRecord, run_loop
 from .machine_stacked import State, Unev, stacked_machine
 from .terms import Closure, IntTerm, Var, closed_int, prime_int, well_formed_int
@@ -44,18 +45,7 @@ def _install(f: Closure, args: tuple):
     return env, 1 + len(f.wrapped) + len(f.params)
 
 
-def _substitute(t: IntTerm, env: Env) -> IntTerm:
-    """Substitute the whole environment into an unevaluated term."""
-    if not env:
-        return t
-    evars = tuple(v for v, _ in env)
-    evals = tuple(val for _, val in env)
-    return subst_int(t, evars, evals, (), ())
-
-
-step_itam, measure_itam, readback_itam = stacked_machine(
-    resolve=_resolve, install=_install, substitute=_substitute
-)
+step_itam, measure_itam, readback_itam = stacked_machine(resolve=_resolve, install=_install)
 
 
 def run_itam(t: IntTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

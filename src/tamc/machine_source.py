@@ -39,7 +39,7 @@ from .machine_common import (
     Transition,
     run_loop,
 )
-from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, free_vars, shared_size_source
+from .terms import Abs, App, Closure, Proj, SourceTerm, Tuple, Var, free_vars, shared_size_source
 
 Env = tuple  # of (Var, value) pairs, innermost binding first
 
@@ -80,7 +80,12 @@ class SState(NamedTuple):
 
 
 def init_stam(t: SourceTerm) -> SState:
-    free = free_vars(t)
+    memo: dict = {}
+    free = free_vars(t, memo)
+    # free_vars reads intermediate terms too; its memo holds every node
+    # but the variables, so a closure anywhere in t shows up there.
+    if any(type(node) is Closure for node, _ in memo.values()):
+        raise TypeError(f"not a source term: {t!r}")
     if free:
         raise ValueError(f"term is not closed, free: {', '.join(v.name for v in free)}")
     return SState(Unev(t, ()), ())

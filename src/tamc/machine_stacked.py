@@ -17,7 +17,8 @@ machine once the initial term is closed.
 
 The two machines differ only in how the environment is represented
 and what that costs: `machine_int` holds the named representation and
-`machine_target` the positional one.
+`machine_target` the positional one. Each gives the factory its lookup
+and its install; readback's substitution is built here from the lookup.
 
 States and stack entries are NamedTuples, like the records in
 `machine_common`: immutable, built at tuple speed, and compared as
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculi import ClashKind
+from .calculi import ClashKind, subst_bags
 from .machine_common import (
     UNIT_COST,
     ArgVal,
@@ -62,14 +63,18 @@ class State(NamedTuple):
     astack: tuple  # of (cstack, env) caller frames, most recent last
 
 
-def stacked_machine(*, resolve, install, substitute):
+def stacked_machine(*, resolve, install):
     """The (step, measure, readback) of the machine over one environment representation.
 
     resolve(env, var) gives (value, scan position), the position being
     the lookup cost; install(closure, args) gives (env, elem cost) for
-    ebeta, or None when args miss the closure's arity; substitute(term,
-    env) puts the whole environment into a term, for readback.
+    ebeta, or None when args miss the closure's arity. Readback puts
+    the environment into a term through the same resolve, so a variable
+    the environment lacks raises MachineInvariantError there as well.
     """
+
+    def substitute(t, env):
+        return subst_bags(t, lambda v: resolve(env, v)[0])
 
     def step(s: State) -> Transition | MachineFinal:
         f, env, cstack, astack = s

@@ -6,14 +6,15 @@ variable resolves by position, so a lookup costs one unit whatever the
 environment size; ebeta installs the closure's value bag and the
 argument tuple by reference and costs 1. Those two costs are this
 representation's reason to exist; the bench harness measures them.
-The machine itself is `machine_stacked`.
+Lookup and install are all this module gives `machine_stacked`, which
+is the machine itself; readback substitutes through the same lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculi import DEFAULT_FUEL, psubst_target
+from .calculi import DEFAULT_FUEL
 from .machine_common import MachineInvariantError, RunRecord, run_loop
 from .machine_stacked import State, Unev, stacked_machine
 from .terms import (
@@ -63,15 +64,7 @@ def _install(f: TClosure, args: tuple):
     return TupledEnv(f.bag.vals, args), 1
 
 
-def _substitute(t: TargetTerm, env: TupledEnv) -> TargetTerm:
-    if not env.lvals and not env.svals:
-        return t
-    return psubst_target(t, env.lvals, env.svals)
-
-
-step_ttam, measure_ttam, readback_ttam = stacked_machine(
-    resolve=_resolve, install=_install, substitute=_substitute
-)
+step_ttam, measure_ttam, readback_ttam = stacked_machine(resolve=_resolve, install=_install)
 
 
 def run_ttam(t: TargetTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

@@ -5,7 +5,10 @@ The files under tests/data were written by `tamc bench --family F
 --trace` before the intermediate and target machines were merged into
 one stacked machine. They pin the cost model (the bench counters) and
 the trace format: a change to either shows up here first. The two
-bisim reports pin the gate's verdicts and step counts.
+bisim reports pin the gate's verdicts and step counts. The corpus-*
+files pin run (plain, traced and dumped, on each machine), convert and
+metrics on every corpus program; they were written before readback's
+substitution moved into the stacked-machine factory.
 """
 
 from pathlib import Path
@@ -55,3 +58,27 @@ def test_bisim_corpus_report_is_unchanged(capsysbinary):
     programs = sorted(str(p) for p in (ROOT / "corpus").glob("*.lam"))
     assert main(["bisim", "--fuel", "2000", *programs]) == 0
     assert capsysbinary.readouterr().out == (DATA / "bisim-corpus-fuel2000.txt").read_bytes()
+
+
+# Written by running `tamc SUBCOMMAND ... FILE` on each sorted corpus/*.lam in
+# turn; each program's stdout follows a line naming the file and its exit
+# code. Every program but omega stops well within run's fuel of 100.
+CORPUS_GOLDENS = {
+    **{
+        f"corpus-run-{m}{suffix}.txt": ["run", "--machine", m, "--fuel", "100", *flags]
+        for m in ("source", "int", "target")
+        for suffix, flags in (("", []), ("-trace", ["--trace"]), ("-dump", ["--dump-states"]))
+    },
+    "corpus-convert-int.txt": ["convert", "--to", "int"],
+    "corpus-convert-target.txt": ["convert", "--to", "target"],
+    "corpus-metrics.txt": ["metrics"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CORPUS_GOLDENS))
+def test_corpus_output_is_unchanged(golden, capsysbinary):
+    got = b""
+    for path in sorted(str(p) for p in (ROOT / "corpus").glob("*.lam")):
+        code = main([*CORPUS_GOLDENS[golden], path])
+        got += f"== {Path(path).name} exit {code}\n".encode() + capsysbinary.readouterr().out
+    assert got == (DATA / golden).read_bytes()

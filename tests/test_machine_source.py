@@ -22,7 +22,7 @@ from tamc.machine_source import (
     step_stam,
 )
 from tamc.syntax import parse
-from tamc.terms import alpha_eq_source, metrics
+from tamc.terms import Abs, App, Closure, Tuple, ValBag, Var, alpha_eq_source, metrics
 
 IDX = parse("fun(x) -> x")
 IDY = parse("fun(y) -> y")
@@ -33,6 +33,22 @@ def test_init_requires_closed():
         init_stam(parse("x"))
     with pytest.raises(ValueError):
         init_stam(parse("fun(x) -> x y"))
+
+
+X = Var("x")
+CLOSURE = Closure((), (X,), X, ValBag(()))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [CLOSURE, App(IDX, Tuple((CLOSURE,))), Abs((X,), App(X, Tuple((CLOSURE,))))],
+    ids=["root", "tuple-argument", "under-abstraction"],
+)
+def test_init_rejects_a_closure_anywhere(t):
+    # the intermediate calculus's closures are foreign to this machine,
+    # as source terms are to init_itam and init_ttam
+    with pytest.raises(TypeError, match="not a source term"):
+        init_stam(t)
 
 
 def test_value_term_single_transition():

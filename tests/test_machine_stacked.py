@@ -9,10 +9,15 @@ lookup (usubv) and the bindings ebeta installs.
 
 from pathlib import Path
 
+import pytest
+
 from tamc.generate import GenConfig, gen_corpus
-from tamc.machine_int import run_itam
-from tamc.machine_target import run_ttam
+from tamc.machine_common import MachineInvariantError
+from tamc.machine_int import readback_itam, run_itam
+from tamc.machine_stacked import State, Unev
+from tamc.machine_target import TupledEnv, readback_ttam, run_ttam
 from tamc.syntax import parse
+from tamc.terms import App, PVar, Tuple, Var
 from tamc.transforms import closure_convert, wrap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -47,3 +52,19 @@ def test_named_and_positional_machines_are_twins():
         assert differ <= {"ebeta", "usubv"}, (name, differ)
         costs_differ |= differ
     assert costs_differ == {"ebeta", "usubv"}
+
+
+# Unreachable from a valid initial term: the focus mentions a variable
+# that the environment does not bind. Readback substitutes with the
+# machine's own lookup, so it fails as a lookup in a step would.
+BROKEN = [
+    (readback_itam, State(Unev(App(Var("y"), Tuple(()))), ((Var("x"), Tuple(())),), (), ())),
+    (readback_ttam, State(Unev(App(PVar("l", 1), Tuple(()))), TupledEnv((), (Tuple(()),)), (), ())),
+]
+
+
+@pytest.mark.parametrize("readback,state", BROKEN, ids=["int", "target"])
+@pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+def test_readback_of_an_unbound_variable_breaks_an_invariant(readback, state, memo):
+    with pytest.raises(MachineInvariantError):
+        readback(state, {} if memo else None)
