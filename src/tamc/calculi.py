@@ -125,8 +125,6 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
             case Abs(params, body):
                 body_names = names(body)
                 live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
-                if not live:
-                    return t
                 repl_names = set().union(*(names(r) for r in live.values()))
                 if any(p.name in repl_names for p in params):
                     avoid = repl_names | body_names | {p.name for p in params}

@@ -13,6 +13,10 @@ position (or 1 for positional access); subv_lookup isolates the cost
 of plain variable lookups so per-lookup trends can be compared across
 machines.
 
+The source and intermediate machines share the flat named environment
+and its one lookup, below; the target's positional one is in
+`machine_target`.
+
 The records a machine builds at every transition (Transition, Cost and
 the stack entries) are NamedTuples, which construct at tuple speed. They
 are immutable and keep the dataclass repr, but they compare as plain
@@ -32,6 +36,19 @@ from .calculi import ClashKind, StepLabel
 
 class MachineInvariantError(Exception):
     """An internal machine invariant broke; reachable states never raise this."""
+
+
+def lookup(env: tuple, var) -> tuple:
+    """Return (value, scan position) for var in a named environment.
+
+    A named environment is a tuple of (Var, value) bindings, innermost
+    first, so the first binding of a name shadows the later ones. The
+    scan position, counted from 1, is the lookup's cost.
+    """
+    for pos, (v, val) in enumerate(env, start=1):
+        if v.name == var.name:
+            return val, pos
+    raise MachineInvariantError(f"unbound variable {var.name}")
 
 
 class Cost(NamedTuple):

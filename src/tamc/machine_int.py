@@ -1,21 +1,21 @@
 """Stacked machine for the intermediate calculus: the named environment.
 
-The environment is a tuple of (Var, value) bindings, the wrapped
-variables before the parameters. A variable resolves by scanning for
-its name and its lookup costs the scan position; ebeta builds one
-binding per wrapped variable and parameter and costs 1 + |wrapped| +
-|params|. Those two are all this module gives `machine_stacked`, which
-is the machine itself; readback substitutes through the same lookup.
+The environment is `machine_common`'s flat named environment, which the
+source machine uses too: a tuple of (Var, value) bindings, here the
+wrapped variables before the parameters. A variable resolves through
+`machine_common.lookup`, which scans for its name and costs the scan
+position; ebeta builds one binding per wrapped variable and parameter
+and costs 1 + |wrapped| + |params|. That lookup and this install are
+all this module gives `machine_stacked`, which is the machine itself;
+readback substitutes through the same lookup.
 """
 
 from __future__ import annotations
 
 from .calculi import DEFAULT_FUEL
-from .machine_common import MachineInvariantError, RunRecord, run_loop
+from .machine_common import MachineInvariantError, RunRecord, lookup, run_loop
 from .machine_stacked import State, Unev, stacked_machine
-from .terms import Closure, IntTerm, Var, closed_int, prime_int, well_formed_int
-
-Env = tuple  # of (Var, value) pairs, innermost binding first
+from .terms import Closure, IntTerm, closed_int, prime_int, well_formed_int
 
 
 def init_itam(t: IntTerm) -> State:
@@ -28,14 +28,6 @@ def init_itam(t: IntTerm) -> State:
     return State(Unev(t), (), (), ())
 
 
-def _resolve(env: Env, var: Var) -> tuple:
-    """Return (value, scan position) for var, innermost binding first."""
-    for pos, (v, val) in enumerate(env, start=1):
-        if v.name == var.name:
-            return val, pos
-    raise MachineInvariantError(f"unbound variable {var.name}")
-
-
 def _install(f: Closure, args: tuple):
     if len(args) != len(f.params):
         return None
@@ -45,7 +37,7 @@ def _install(f: Closure, args: tuple):
     return env, 1 + len(f.wrapped) + len(f.params)
 
 
-step_itam, measure_itam, readback_itam = stacked_machine(resolve=_resolve, install=_install)
+step_itam, measure_itam, readback_itam = stacked_machine(resolve=lookup, install=_install)
 
 
 def run_itam(t: IntTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

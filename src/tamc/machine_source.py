@@ -3,8 +3,10 @@
 States carry a focus and a control stack. The focus is either an
 unevaluated term paired with an environment, or a machine value
 (a closure over an abstraction, or a tuple of machine values).
-Environments are tuples of (Var, value) bindings, innermost first, so
-lookup is a linear scan and shadowing is positional.
+Environments are `machine_common`'s flat named ones, (Var, value)
+bindings innermost first, and usub and readback both resolve through
+its lookup: a linear scan, shadowing positional, raising
+MachineInvariantError on an unbound variable.
 
 The stack entry kinds mirror the four evaluation contexts: a function
 waiting for its evaluated argument, an already-evaluated argument
@@ -37,17 +39,16 @@ from .machine_common import (
     ProjFrame,
     RunRecord,
     Transition,
+    lookup,
     run_loop,
 )
 from .terms import Abs, App, Closure, Proj, SourceTerm, Tuple, Var, free_vars, shared_size_source
-
-Env = tuple  # of (Var, value) pairs, innermost binding first
 
 
 @dataclass(frozen=True, slots=True)
 class SClos:
     abs: Abs
-    env: Env
+    env: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,17 +61,17 @@ SValue = SClos | STup
 
 class Unev(NamedTuple):
     term: SourceTerm
-    env: Env
+    env: tuple
 
 
 class PendingFn(NamedTuple):
     term: SourceTerm
-    env: Env
+    env: tuple
 
 
 class PartialTuple(NamedTuple):
     pending: tuple  # source terms still to evaluate, original order
-    env: Env
+    env: tuple
     done: tuple  # evaluated items, original order
 
 
@@ -119,15 +120,11 @@ def step_stam(s: SState) -> Transition | MachineFinal:
                 return Transition("usea4", SState(STup(()), stack), UNIT_COST)
             case Abs():
                 return Transition("usea5", SState(SClos(t, env), stack), UNIT_COST)
-            case Var(name=name):
-                for pos, (var, val) in enumerate(env, start=1):
-                    if var.name == name:
-                        return Transition(
-                            "usub",
-                            SState(val, stack),
-                            Cost(1 + pos, lookup=pos, subv_lookup=pos),
-                        )
-                raise MachineInvariantError(f"unbound variable {name}")
+            case Var():
+                val, pos = lookup(env, t)
+                return Transition(
+                    "usub", SState(val, stack), Cost(1 + pos, lookup=pos, subv_lookup=pos)
+                )
         raise MachineInvariantError(f"not a source term in focus: {t!r}")
 
     if not stack:
@@ -193,11 +190,12 @@ def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
     return out
 
 
-def _env_subst(t: SourceTerm, env: Env, memo: dict) -> SourceTerm:
+def _env_subst(t: SourceTerm, env: tuple, memo: dict) -> SourceTerm:
     """Resolve env bindings inside t, innermost binding first.
 
     Values in environments are closed once read back, so a single
     shadow-aware pass agrees with applying the bindings one at a time.
+    An empty env leaves t itself: by the closure invariant t is closed.
     """
 
     def walk(t: SourceTerm, shadow: frozenset) -> SourceTerm:
@@ -205,10 +203,7 @@ def _env_subst(t: SourceTerm, env: Env, memo: dict) -> SourceTerm:
             case Var(name=name):
                 if name in shadow:
                     return t
-                for var, val in env:
-                    if var.name == name:
-                        return readback_value(val, memo)
-                return t
+                return readback_value(lookup(env, t)[0], memo)
             case Abs(params=params, body=body):
                 inner = shadow | {p.name for p in params}
                 return Abs(params, walk(body, inner))

@@ -71,9 +71,19 @@ def stacked_machine(*, resolve, install):
     ebeta, or None when args miss the closure's arity. Readback puts
     the environment into a term through the same resolve, so a variable
     the environment lacks raises MachineInvariantError there as well.
+
+    Under an environment that binds nothing (`not any(env)`: the named
+    (), the positional TupledEnv((), ())) readback keeps the term itself,
+    as the source machine's does. By the closure invariant that is exact:
+    such an environment is the root one, whose terms init_* checked
+    closed and prime, or that of a closure with no wrapped variables and
+    no parameters, whose body has no variable outside nested closure
+    bodies and only empty bags. There is nothing to resolve or rewrite.
     """
 
     def substitute(t, env):
+        if not any(env):
+            return t
         return subst_bags(t, lambda v: resolve(env, v)[0])
 
     def step(s: State) -> Transition | MachineFinal:

@@ -8,11 +8,15 @@ argument tuple by reference and costs 1. Those two costs are this
 representation's reason to exist; the bench harness measures them.
 Lookup and install are all this module gives `machine_stacked`, which
 is the machine itself; readback substitutes through the same lookup.
+
+TupledEnv is a NamedTuple, like every record a transition builds (ebeta
+builds one), so `any(env)` is false exactly when it binds nothing, as
+for the named environment: the factory's empty-environment test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculi import DEFAULT_FUEL
 from .machine_common import MachineInvariantError, RunRecord, run_loop
@@ -27,8 +31,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TupledEnv:
+class TupledEnv(NamedTuple):
     lvals: tuple  # values of the wrapped variables, position 1 first
     svals: tuple  # values of the parameters, position 1 first
 

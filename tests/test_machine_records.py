@@ -1,8 +1,9 @@
 """The records the machines build at every transition.
 
-Transitions, costs, states and stack entries are NamedTuples. They must
-stay immutable and print as the frozen dataclasses they replaced did
-(the trace, `--dump-states` and failure messages show them), and
+Transitions, costs, states, stack entries and the target machine's
+positional environment are NamedTuples. They must stay immutable and
+print as the frozen dataclasses they replaced did (the trace,
+`--dump-states` and failure messages show them), and
 `run_loop`, which unpacks them and tallies its counts once at the end,
 must total exactly what each transition reports.
 """
@@ -24,6 +25,7 @@ from tamc.machine_common import (
     run_loop,
 )
 from tamc.machine_source import STup
+from tamc.machine_target import TupledEnv
 from tamc.syntax import parse
 from tamc.terms import Tuple, Var
 
@@ -67,6 +69,7 @@ RECORDS = [
         machine_source.PartialTuple((X,), (), (STup(()),)),
         "PartialTuple(pending=(Var(name='x'),), env=(), done=(STup(items=()),))",
     ),
+    (TupledEnv((), (EMPTY,)), "TupledEnv(lvals=(), svals=(Tuple(items=()),))"),
 ]
 IDS = [f"{type(r).__module__}.{type(r).__name__}-{k}" for k, (r, _) in enumerate(RECORDS)]
 

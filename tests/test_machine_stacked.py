@@ -4,18 +4,23 @@ The intermediate and target machines are one machine over a named and
 a positional environment. On the same source program they must take
 the same transitions and stop the same way; their counted costs may
 differ only where the representations do: the scan of a variable
-lookup (usubv) and the bindings ebeta installs.
+lookup (usubv) and the bindings ebeta installs. The named lookup is
+the source machine's too, and neither representation substitutes
+anything into a term where it binds nothing.
 """
 
 from pathlib import Path
 
 import pytest
 
+from tamc import machine_source, machine_stacked
+from tamc.calculi import subst_bags
 from tamc.generate import GenConfig, gen_corpus
-from tamc.machine_common import MachineInvariantError
-from tamc.machine_int import readback_itam, run_itam
-from tamc.machine_stacked import State, Unev
-from tamc.machine_target import TupledEnv, readback_ttam, run_ttam
+from tamc.machine_common import MachineFinal, MachineInvariantError, lookup
+from tamc.machine_int import init_itam, readback_itam, run_itam, step_itam
+from tamc.machine_source import SState, STup, readback_stam
+from tamc.machine_stacked import PartialTuple, PendingFn, State, Unev
+from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
 from tamc.syntax import parse
 from tamc.terms import App, PVar, Tuple, Var
 from tamc.transforms import closure_convert, wrap
@@ -23,12 +28,12 @@ from tamc.transforms import closure_convert, wrap
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def _programs():
+def _programs(count=500):
     out = []
     for p in sorted(CORPUS.glob("*.lam")):
         fuel = 1_000 if p.name == "omega.lam" else None
         out.append((p.name, parse(p.read_text()), fuel))
-    for k, t in enumerate(gen_corpus(GenConfig(seed=0), 500)):
+    for k, t in enumerate(gen_corpus(GenConfig(seed=0), count)):
         out.append((f"generated term {k}", t, None))
     return out
 
@@ -60,11 +65,117 @@ def test_named_and_positional_machines_are_twins():
 BROKEN = [
     (readback_itam, State(Unev(App(Var("y"), Tuple(()))), ((Var("x"), Tuple(())),), (), ())),
     (readback_ttam, State(Unev(App(PVar("l", 1), Tuple(()))), TupledEnv((), (Tuple(()),)), (), ())),
+    (
+        readback_stam,
+        SState(machine_source.Unev(App(Var("y"), Tuple(())), ((Var("x"), STup(())),)), ()),
+    ),
 ]
 
 
-@pytest.mark.parametrize("readback,state", BROKEN, ids=["int", "target"])
+@pytest.mark.parametrize("readback,state", BROKEN, ids=["int", "target", "source"])
 @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
 def test_readback_of_an_unbound_variable_breaks_an_invariant(readback, state, memo):
     with pytest.raises(MachineInvariantError):
         readback(state, {} if memo else None)
+
+
+def test_lookup_scans_by_name_innermost_first():
+    x, y = Var("x"), Var("y")
+    env = ((x, "inner"), (y, "y"), (x, "outer"))
+    assert lookup(env, x) == ("inner", 1)
+    assert lookup(env, Var("y")) == ("y", 2)
+    with pytest.raises(MachineInvariantError, match="unbound variable z"):
+        lookup(env, Var("z"))
+    with pytest.raises(MachineInvariantError, match="unbound variable x"):
+        lookup((), x)
+
+
+# An environment that binds nothing substitutes nothing: the factory's
+# readback returns such terms as they are. That is exact only if no
+# term the machines put under an empty environment has a variable to
+# resolve or a value bag to rewrite, which real traffic checks here.
+
+STACKED = [
+    (wrap, init_itam, step_itam, readback_itam),
+    (closure_convert, init_ttam, step_ttam, readback_ttam),
+]
+
+
+def _states(s, step, fuel):
+    yield s
+    for _ in range(fuel):
+        r = step(s)
+        if isinstance(r, MachineFinal):
+            return
+        s = r.state
+        yield s
+
+
+def _pending(cstack):
+    for entry in cstack:
+        match entry:
+            case PendingFn(term=t):
+                yield t
+            case PartialTuple(pending=pending):
+                yield from pending
+
+
+def _under_empty_env(s):
+    """The terms that readback of s substitutes under an environment binding nothing."""
+    if not any(s.env):
+        if isinstance(s.focus, Unev):
+            yield s.focus.term
+        yield from _pending(s.cstack)
+    for cstack, env in s.astack:
+        if not any(env):
+            yield from _pending(cstack)
+
+
+def _no_resolve(v):
+    raise AssertionError(f"resolved {v!r} under an environment that binds nothing")
+
+
+@pytest.mark.parametrize("translate,init,step,readback", STACKED, ids=["int", "target"])
+def test_terms_under_an_empty_environment_substitute_to_themselves(
+    translate, init, step, readback
+):
+    programs = [(u, fuel or 100_000) for _, u, fuel in _programs(200)]
+    checked: dict = {}  # id -> term, so that a term shared by many states is checked once
+    callee_states = 0  # states inside a call whose environment binds nothing
+    for u, fuel in programs:
+        for s in _states(init(translate(u)), step, fuel):
+            if s.astack and not any(s.env):
+                callee_states += 1
+            for t in _under_empty_env(s):
+                if id(t) not in checked:
+                    checked[id(t)] = t
+                    assert subst_bags(t, _no_resolve) == t, t
+    assert len(checked) > 100
+    assert callee_states > 0
+
+
+@pytest.mark.parametrize(
+    "text,calls_a_function",
+    [("pi 1 <<>, <>>", False), ("(fun() -> <<>, <>>) <>", True)],
+    ids=["no-beta", "zero-binder-callee"],
+)
+@pytest.mark.parametrize("translate,init,step,readback", STACKED, ids=["int", "target"])
+@pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+def test_readback_under_an_empty_environment_calls_no_substitution(
+    monkeypatch, text, calls_a_function, translate, init, step, readback, memo
+):
+    calls = 0
+    real = machine_stacked.subst_bags
+
+    def counting(t, resolve):
+        nonlocal calls
+        calls += 1
+        return real(t, resolve)
+
+    monkeypatch.setattr(machine_stacked, "subst_bags", counting)
+    states = list(_states(init(translate(parse(text))), step, 1_000))
+    shared = {} if memo else None
+    for s in states:
+        readback(s, shared)
+    assert any(s.astack for s in states) is calls_a_function
+    assert calls == 0
