@@ -131,16 +131,20 @@ def quadratic_driver(n: int) -> App:
     return t
 
 
+def _require_machine(machine: str) -> None:
+    if machine not in MACHINES:
+        raise ValueError(f"unknown machine kind: {machine}")
+
+
 def check_transition_match(rec: RunRecord, machine: str) -> bool:
     """Completed-run inequality: consumers never outnumber producers."""
+    _require_machine(machine)
     c = rec.counts.get
     left = c("epi", 0) + c("esea1", 0) + c("esea3", 0)
     right = c("usea1", 0) + c("usea2", 0) + c("usea3", 0)
-    if machine in ("int", "target"):
+    if machine != "source":
         left += c("esea7", 0)
-        right += rec.counts.get("ebeta", 0)
-    elif machine != "source":
-        raise ValueError(f"unknown machine kind: {machine}")
+        right += c("ebeta", 0)
     return left <= right
 
 
@@ -184,6 +188,7 @@ _STACKED_CLASSES = {
 
 
 def measure_violations(rec: RunRecord, machine: str, initial_size: int) -> list[str]:
+    _require_machine(machine)
     if rec.measures is None:
         raise ValueError("run was not recorded with measures")
     classes = _SOURCE_CLASSES if machine == "source" else _STACKED_CLASSES

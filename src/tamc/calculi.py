@@ -39,6 +39,7 @@ from .terms import (
     Var,
     VarBag,
     free_vars,
+    reject_closures,
 )
 
 DEFAULT_FUEL = 100_000
@@ -145,13 +146,12 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
         raise TypeError(f"not a source term: {t!r}")
 
     out = go(t, dict(mapping), frozenset(v.name for v in mapping))
-    # free_vars reads intermediate terms too. go's first call walked the
-    # whole term; walking each replacement as well, a replacement no
-    # binder inspected included, puts every node of both in the memo.
+    # go's first call walked the whole term; walking each replacement as
+    # well, a replacement no binder inspected included, puts every node
+    # of both in the memo.
     for r in mapping.values():
         free_vars(r, memo)
-    if any(type(node) is Closure for node, _ in memo.values()):
-        raise TypeError(f"not a source term: {t!r}")
+    reject_closures(memo, t)
     return out
 
 

@@ -42,7 +42,7 @@ from .machine_common import (
     lookup,
     run_loop,
 )
-from .terms import Abs, App, Closure, Proj, SourceTerm, Tuple, Var, free_vars, shared_size_source
+from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, free_vars, reject_closures, shared_size_source
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +83,7 @@ class SState(NamedTuple):
 def init_stam(t: SourceTerm) -> SState:
     memo: dict = {}
     free = free_vars(t, memo)
-    # free_vars reads intermediate terms too; its memo holds every node
-    # but the variables, so a closure anywhere in t shows up there.
-    if any(type(node) is Closure for node, _ in memo.values()):
-        raise TypeError(f"not a source term: {t!r}")
+    reject_closures(memo, t)
     if free:
         raise ValueError(f"term is not closed, free: {', '.join(v.name for v in free)}")
     return SState(Unev(t, ()), ())

@@ -17,8 +17,10 @@ machine once the initial term is closed.
 
 The two machines differ only in how the environment is represented
 and what that costs: `machine_int` holds the named representation and
-`machine_target` the positional one. Each gives the factory its lookup
-and its install; readback's substitution is built here from the lookup.
+`machine_target` the positional one. Each is plain data for the
+factory: its lookup, its install, its calculus's checks on an initial
+term and its empty environment. The factory builds the rest, init,
+readback and the run loop included.
 
 States and stack entries are NamedTuples, like the records in
 `machine_common`: immutable, built at tuple speed, and compared as
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculi import ClashKind, subst_bags
+from .calculi import DEFAULT_FUEL, ClashKind, subst_bags
 from .machine_common import (
     UNIT_COST,
     ArgVal,
@@ -38,9 +40,11 @@ from .machine_common import (
     MachineFinal,
     MachineInvariantError,
     ProjFrame,
+    RunRecord,
     Transition,
+    run_loop,
 )
-from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag, size_int
+from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag, prime_int, size_int
 
 
 class Unev(NamedTuple):
@@ -63,26 +67,37 @@ class State(NamedTuple):
     astack: tuple  # of (cstack, env) caller frames, most recent last
 
 
-def stacked_machine(*, resolve, install):
-    """The (step, measure, readback) of the machine over one environment representation.
+def stacked_machine(*, resolve, install, well_formed, closed, empty):
+    """The machine over one environment representation: (init, step, measure, readback, run).
 
     resolve(env, var) gives (value, scan position), the position being
     the lookup cost; install(closure, args) gives (env, elem cost) for
-    ebeta, or None when args miss the closure's arity. Readback puts
-    the environment into a term through the same resolve, so a variable
-    the environment lacks raises MachineInvariantError there as well.
+    ebeta, or None when args miss the closure's arity; well_formed and
+    closed are the calculus's checks on an initial term; empty is the
+    environment that binds nothing, which init starts under. Readback
+    puts the environment into a term through the same resolve, so a
+    variable the environment lacks raises MachineInvariantError there
+    as well.
 
-    Under an environment that binds nothing (`not any(env)`: the named
-    (), the positional TupledEnv((), ())) readback keeps the term itself,
+    Under an environment equal to empty readback keeps the term itself,
     as the source machine's does. By the closure invariant that is exact:
-    such an environment is the root one, whose terms init_* checked
-    closed and prime, or that of a closure with no wrapped variables and
-    no parameters, whose body has no variable outside nested closure
-    bodies and only empty bags. There is nothing to resolve or rewrite.
+    such an environment is the root one, whose terms init checked closed
+    and prime, or that of a closure with no wrapped variables and no
+    parameters, whose body has no variable outside nested closure bodies
+    and only empty bags. There is nothing to resolve or rewrite.
     """
 
+    def init(t) -> State:
+        if not well_formed(t):
+            raise ValueError("initial term must be well formed")
+        if not closed(t):
+            raise ValueError("initial term must be closed")
+        if not prime_int(t):  # reads target terms too
+            raise ValueError("initial term must have variable bags only")
+        return State(Unev(t), empty, (), ())
+
     def substitute(t, env):
-        if not any(env):
+        if env == empty:
             return t
         return subst_bags(t, lambda v: resolve(env, v)[0])
 
@@ -276,4 +291,7 @@ def stacked_machine(*, resolve, install):
             total += _overhead(caller_cstack)
         return total
 
-    return step, measure, readback
+    def run(t, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:
+        return run_loop(step, measure, init(t), fuel, record_measure)
+
+    return init, step, measure, readback, run

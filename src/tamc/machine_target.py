@@ -6,29 +6,17 @@ variable resolves by position, so a lookup costs one unit whatever the
 environment size; ebeta installs the closure's value bag and the
 argument tuple by reference and costs 1. Those two costs are this
 representation's reason to exist; the bench harness measures them.
-Lookup and install are all this module gives `machine_stacked`, which
-is the machine itself; readback substitutes through the same lookup.
-
-TupledEnv is a NamedTuple, like every record a transition builds (ebeta
-builds one), so `any(env)` is false exactly when it binds nothing, as
-for the named environment: the factory's empty-environment test.
+Lookup, install, the target calculus's checks and EMPTY_ENV are all
+this module gives `machine_stacked`, which builds the machine.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculi import DEFAULT_FUEL
-from .machine_common import MachineInvariantError, RunRecord, run_loop
-from .machine_stacked import State, Unev, stacked_machine
-from .terms import (
-    PVar,
-    TClosure,
-    TargetTerm,
-    closed_target,
-    prime_target,
-    well_formed_target,
-)
+from .machine_common import MachineInvariantError
+from .machine_stacked import stacked_machine
+from .terms import PVar, TClosure, closed_target, well_formed_target
 
 
 class TupledEnv(NamedTuple):
@@ -37,16 +25,6 @@ class TupledEnv(NamedTuple):
 
 
 EMPTY_ENV = TupledEnv((), ())
-
-
-def init_ttam(t: TargetTerm) -> State:
-    if not well_formed_target(t):
-        raise ValueError("initial term must be well formed")
-    if not closed_target(t):
-        raise ValueError("initial term must be closed")
-    if not prime_target(t):
-        raise ValueError("initial term must have variable bags only")
-    return State(Unev(t), EMPTY_ENV, (), ())
 
 
 def _resolve(env: TupledEnv, pv: PVar) -> tuple:
@@ -67,8 +45,10 @@ def _install(f: TClosure, args: tuple):
     return TupledEnv(f.bag.vals, args), 1
 
 
-step_ttam, measure_ttam, readback_ttam = stacked_machine(resolve=_resolve, install=_install)
-
-
-def run_ttam(t: TargetTerm, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:
-    return run_loop(step_ttam, measure_ttam, init_ttam(t), fuel, record_measure)
+init_ttam, step_ttam, measure_ttam, readback_ttam, run_ttam = stacked_machine(
+    resolve=_resolve,
+    install=_install,
+    well_formed=well_formed_target,
+    closed=closed_target,
+    empty=EMPTY_ENV,
+)

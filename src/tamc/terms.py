@@ -302,6 +302,17 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
     return go(t)
 
 
+def reject_closures(memo: dict, t) -> None:
+    """Raise TypeError, naming t, when a free_vars memo holds a closure.
+
+    free_vars reads intermediate terms too, and its memo holds every
+    node it walked but the variables, so a closure anywhere in the
+    walked terms shows up there.
+    """
+    if any(type(node) is Closure for node, _ in memo.values()):
+        raise TypeError(f"not a source term: {t!r}")
+
+
 def is_closed_source(t: SourceTerm | IntTerm) -> bool:
     return not free_vars(t)
 

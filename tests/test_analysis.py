@@ -163,6 +163,15 @@ def test_measure_violation_detected():
         measure_violations(run_stam(identity()), "source", 3)
 
 
+@pytest.mark.parametrize("audit", [measure_violations, audit_measure])
+def test_measure_audits_reject_an_unknown_machine(audit):
+    rec = run_stam(identity(), record_measure=True)
+    with pytest.raises(ValueError, match="^unknown machine kind: cek$"):
+        audit(rec, "cek", 3)
+    with pytest.raises(ValueError, match="^unknown machine kind: cek$"):
+        check_transition_match(rec, "cek")
+
+
 def test_bilinear_ratio_small_on_short_runs():
     t = parse("(fun(x) -> x) <fun(y) -> y>")
     rec = run_stam(t)

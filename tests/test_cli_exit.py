@@ -3,13 +3,17 @@
 A reader that closes stdout early (`tamc run ... | head -1`) ends the
 run quietly: exit 1, no traceback, nothing on stderr. An input nested
 deeper than the recursive passes can follow is a usage error: one line
-on stderr and exit 2.
+on stderr and exit 2. So are a parse error, whose line names the place
+and has no `tamc:` prefix, a CSV path in a missing directory, which
+leaves nothing behind, and a fuel that is not a positive integer.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tamc
 from tamc.cli import main
@@ -62,3 +66,36 @@ def test_bisim_names_the_file_nested_too_deeply(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == b"tamc: deep.lam: input nested too deeply\n"
+
+
+def test_parse_error_names_the_place_without_a_prefix(tmp_path, capsys):
+    bad = tmp_path / "F.lam"
+    bad.write_text("fun(")
+    assert main(["run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}:1:5: expected ')', found 'end of input'\n"
+
+
+def test_bench_csv_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    argv = ["bench", "--family", "quadratic-wrap", "--n-max", "1", "--csv", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tamc: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,env_fuel", [(["--fuel", "0"], None), ([], "banana")])
+def test_fuel_that_is_not_a_positive_integer_is_a_usage_error(
+    flag, env_fuel, monkeypatch, capsys
+):
+    if env_fuel is None:
+        monkeypatch.delenv("TAMC_FUEL", raising=False)
+    else:
+        monkeypatch.setenv("TAMC_FUEL", env_fuel)
+    assert main(["run", str(ROOT / "corpus" / "identity.lam"), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tamc: fuel must be a positive integer\n"
