@@ -57,14 +57,18 @@ def identity() -> Abs:
     return Abs((Var("z"),), Var("z"))
 
 
-def family_tuple_explosion(n: int) -> "App | Abs":
+def _explosion(dup: Abs, n: int) -> "App | Abs":
+    """dup applied to <t> n times, starting from the identity."""
     if n < 0:
         raise ValueError("family index must be nonnegative")
-    tau = Abs((Var("x"),), Tuple((Var("x"), Var("x"))))
     t = identity()
     for _ in range(n):
-        t = App(tau, Tuple((t,)))
+        t = App(dup, Tuple((t,)))
     return t
+
+
+def family_tuple_explosion(n: int) -> "App | Abs":
+    return _explosion(Abs((Var("x"),), Tuple((Var("x"), Var("x")))), n)
 
 
 def tuple_explosion_size(n: int) -> int:
@@ -76,14 +80,8 @@ def tuple_explosion_nf_size(n: int) -> int:
 
 
 def family_fun_explosion(n: int) -> "App | Abs":
-    if n < 0:
-        raise ValueError("family index must be nonnegative")
     x, y = Var("x"), Var("y")
-    dup = Abs((x,), Abs((y,), App(App(y, Tuple((x,))), Tuple((x,)))))
-    t = identity()
-    for _ in range(n):
-        t = App(dup, Tuple((t,)))
-    return t
+    return _explosion(Abs((x,), Abs((y,), App(App(y, Tuple((x,))), Tuple((x,))))), n)
 
 
 def fun_explosion_size(n: int) -> int:

@@ -127,38 +127,33 @@ class RunRecord:
 def run_loop(step, measure, state, fuel: int, record_measure: bool = False) -> RunRecord:
     labels: list[str] = []
     elem_by_name: dict = {}
-    elem = env_copy = lookup = subv = 0
+    env_copy = lookup = subv = 0
     measures = [measure(state)] if record_measure else None
-
-    def finish(final: str, clash):
-        return RunRecord(
-            labels=tuple(labels),
-            counts=dict(Counter(labels)),  # in order of first occurrence
-            final=final,
-            clash=clash,
-            final_state=state,
-            elem_ops=elem,
-            env_copy_ops=env_copy,
-            lookup_ops=lookup,
-            subv_lookup_ops=subv,
-            measures=tuple(measures) if measures is not None else None,
-            elem_by_name=elem_by_name,
-        )
-
     for _ in range(fuel):
         r = step(state)
         if isinstance(r, MachineFinal):
-            return finish(r.status, r.clash)
+            break
         name, state, cost = r
         labels.append(name)
-        elem += cost.elem
         elem_by_name[name] = elem_by_name.get(name, 0) + cost.elem
         env_copy += cost.env_copy
         lookup += cost.lookup
         subv += cost.subv_lookup
         if measures is not None:
             measures.append(measure(state))
-    r = step(state)
-    if isinstance(r, MachineFinal):
-        return finish(r.status, r.clash)
-    return finish("fuel", None)
+    else:
+        r = step(state)  # one probe past the fuel tells a stop from a cut
+    stopped = isinstance(r, MachineFinal)
+    return RunRecord(
+        labels=tuple(labels),
+        counts=dict(Counter(labels)),  # in order of first occurrence
+        final=r.status if stopped else "fuel",
+        clash=r.clash if stopped else None,
+        final_state=state,
+        elem_ops=sum(elem_by_name.values()),
+        env_copy_ops=env_copy,
+        lookup_ops=lookup,
+        subv_lookup_ops=subv,
+        measures=tuple(measures) if measures is not None else None,
+        elem_by_name=elem_by_name,
+    )

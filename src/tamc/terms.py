@@ -193,6 +193,33 @@ def metrics(t: SourceTerm) -> TermMetrics:
     return TermMetrics(*go(t))
 
 
+def _walk(t, bodies: bool):
+    """Every node of an intermediate or target term, in left-to-right pre-order.
+
+    A closure comes before the entries of its value bag, and those
+    before its body, which is walked only when bodies is true. Variable
+    bags are left to the caller, and a node of no calculus is yielded
+    with no parts, so the caller decides whether it is an error. The
+    walk keeps its own stack, so nesting depth costs no Python frames.
+    """
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        tu = type(u)
+        if tu is App:
+            stack += (u.arg, u.fn)
+        elif tu is Proj:
+            stack.append(u.arg)
+        elif tu is Tuple:
+            stack += reversed(u.items)
+        elif tu is Closure or tu is TClosure:
+            if bodies:
+                stack.append(u.body)
+            if type(u.bag) is ValBag:
+                stack += reversed(u.bag.vals)
+
+
 def size_int(t: IntTerm | TargetTerm) -> int:
     """Size of an intermediate or target term.
 
@@ -201,23 +228,20 @@ def size_int(t: IntTerm | TargetTerm) -> int:
     (its length equals the wrapped count), while value bags add their
     values' sizes.
     """
-    match t:
-        case Var() | PVar():
-            return 1
-        case Closure(wrapped, params, body, bag):
-            binders = len(wrapped) + len(params)
-        case TClosure(n, m, body, bag):
-            binders = n + m
-        case App(fn, arg):
-            return size_int(fn) + size_int(arg) + 1
-        case Proj(_, arg):
-            return size_int(arg) + 1
-        case Tuple(items):
-            return len(items) + sum(size_int(it) for it in items)
-        case _:
-            raise TypeError(f"not an intermediate or target term: {t!r}")
-    extra = sum(size_int(v) for v in bag.vals) if isinstance(bag, ValBag) else 0
-    return size_int(body) + binders + extra
+    size = 0
+    for u in _walk(t, True):
+        tu = type(u)
+        if tu is Var or tu is PVar or tu is App or tu is Proj:
+            size += 1
+        elif tu is Tuple:
+            size += len(u.items)
+        elif tu is Closure:
+            size += len(u.wrapped) + len(u.params)
+        elif tu is TClosure:
+            size += u.n_wrapped + u.n_params
+        else:
+            raise TypeError(f"not an intermediate or target term: {u!r}")
+    return size
 
 
 size_target = size_int
@@ -339,93 +363,66 @@ def well_formed_int(t: IntTerm) -> bool:
     For each closure: binders are pairwise distinct and disjoint, the
     body mentions only binder variables, a variable bag repeats the
     wrapped list exactly, and a value bag supplies one value per
-    wrapped variable. One free-variable memo serves every closure, so
+    wrapped variable. A closure is checked when the walk reaches it,
+    before its bag entries and its body, and the first failing closure
+    answers False. One free-variable memo serves every closure, so
     nested bodies are walked once, not once per binder above them.
     """
     memo: dict = {}
-
-    def go(t) -> bool:
-        match t:
-            case Var(_):
-                return True
-            case Closure(wrapped, params, body, bag):
-                names = {v.name for v in wrapped + params}
-                if len(names) != len(wrapped) + len(params):
-                    return False
-                if not all(v.name in names for v in free_vars(body, memo)):
-                    return False
-                if not go(body):
-                    return False
-                match bag:
-                    case VarBag(vs):
-                        return vs == wrapped
-                    case ValBag(vals):
-                        return len(vals) == len(wrapped) and all(
-                            is_value_int(v) and go(v) for v in vals
-                        )
-            case App(fn, arg):
-                return go(fn) and go(arg)
-            case Proj(_, arg):
-                return go(arg)
-            case Tuple(items):
-                return all(go(it) for it in items)
-        raise TypeError(f"not an intermediate term: {t!r}")
-
-    return go(t)
+    for u in _walk(t, True):
+        tu = type(u)
+        if tu is Closure:
+            binders, bag = u.wrapped + u.params, u.bag
+            if type(bag) is VarBag:
+                fits = bag.vars == u.wrapped
+            elif type(bag) is ValBag:
+                fits = len(bag.vals) == len(u.wrapped) and all(map(is_value_int, bag.vals))
+            else:
+                raise TypeError(f"not an intermediate term: {u!r}")
+            names = {v.name for v in binders}
+            if not fits or len(names) != len(binders):
+                return False
+            if not all(v.name in names for v in free_vars(u.body, memo)):
+                return False
+        elif not (tu is Var or tu is App or tu is Proj or tu is Tuple):
+            raise TypeError(f"not an intermediate term: {u!r}")
+    return True
 
 
 def prime_int(t: IntTerm | TargetTerm) -> bool:
     """True when every bag in the term is a variable bag (empty counts)."""
-    match t:
-        case Var() | PVar():
-            return True
-        case Closure(_, _, body, bag) | TClosure(_, _, body, bag):
-            if isinstance(bag, ValBag) and bag.vals:
+    for u in _walk(t, True):
+        tu = type(u)
+        if tu is Closure or tu is TClosure:
+            if type(u.bag) is ValBag and u.bag.vals:
                 return False
-            return prime_int(body)
-        case App(fn, arg):
-            return prime_int(fn) and prime_int(arg)
-        case Proj(_, arg):
-            return prime_int(arg)
-        case Tuple(items):
-            return all(prime_int(it) for it in items)
-    raise TypeError(f"not an intermediate or target term: {t!r}")
+        elif not (tu is Var or tu is PVar or tu is App or tu is Proj or tu is Tuple):
+            raise TypeError(f"not an intermediate or target term: {u!r}")
+    return True
 
 
 prime_target = prime_int
 
 
 def norms_target(t: TargetTerm) -> tuple[int, int]:
-    """Largest l- and s-projection indices outside closure bodies.
+    """Largest l- and s-projection indices outside closure bodies, 0 where there is none.
 
     Closure bags count as outside; closure bodies do not.
     """
-    match t:
-        case PVar(base, i):
-            return (i, 0) if base == "l" else (0, i)
-        case TClosure(_, _, _, bag):
-            match bag:
-                case PVarBag(ps):
-                    pairs = [norms_target(p) for p in ps]
-                case ValBag(vals):
-                    pairs = [norms_target(v) for v in vals]
-            return (
-                max((p[0] for p in pairs), default=0),
-                max((p[1] for p in pairs), default=0),
-            )
-        case App(fn, arg):
-            l1, s1 = norms_target(fn)
-            l2, s2 = norms_target(arg)
-            return max(l1, l2), max(s1, s2)
-        case Proj(_, arg):
-            return norms_target(arg)
-        case Tuple(items):
-            pairs = [norms_target(it) for it in items]
-            return (
-                max((p[0] for p in pairs), default=0),
-                max((p[1] for p in pairs), default=0),
-            )
-    raise TypeError(f"not a target term: {t!r}")
+    top: dict = {}
+    for u in _walk(t, False):
+        tu = type(u)
+        if tu is PVar:
+            pvars = (u,)
+        elif tu is TClosure:
+            pvars = u.bag.pvars if type(u.bag) is PVarBag else ()
+        elif tu is App or tu is Proj or tu is Tuple:
+            continue
+        else:
+            raise TypeError(f"not a target term: {u!r}")
+        for p in pvars:
+            top[p.base] = max(top.get(p.base, p.index), p.index)
+    return top.get("l", 0), top.get("s", 0)
 
 
 def closed_target(t: TargetTerm) -> bool:
@@ -434,32 +431,29 @@ def closed_target(t: TargetTerm) -> bool:
 
 
 def well_formed_target(t: TargetTerm) -> bool:
-    """Check arity promises: body norms within (n, m), bag length n."""
-    match t:
-        case PVar(_, _):
-            return True
-        case TClosure(n, m, body, bag):
-            if n < 0 or m < 0:
+    """Check arity promises: body norms within (n, m), bag length n.
+
+    A closure is checked when the walk reaches it, before its bag
+    entries and its body, and the first failing closure answers False.
+    """
+    for u in _walk(t, True):
+        tu = type(u)
+        if tu is TClosure:
+            n, m, bag = u.n_wrapped, u.n_params, u.bag
+            if type(bag) is PVarBag:
+                fits = len(bag.pvars) == n
+            elif type(bag) is ValBag:
+                fits = len(bag.vals) == n and all(map(is_value_target, bag.vals))
+            else:
+                raise TypeError(f"not a target term: {u!r}")
+            if not fits or n < 0 or m < 0:
                 return False
-            l, s = norms_target(body)
+            l, s = norms_target(u.body)
             if l > n or s > m:
                 return False
-            if not well_formed_target(body):
-                return False
-            match bag:
-                case PVarBag(ps):
-                    return len(ps) == n
-                case ValBag(vals):
-                    return len(vals) == n and all(
-                        is_value_target(v) and well_formed_target(v) for v in vals
-                    )
-        case App(fn, arg):
-            return well_formed_target(fn) and well_formed_target(arg)
-        case Proj(_, arg):
-            return well_formed_target(arg)
-        case Tuple(items):
-            return all(well_formed_target(it) for it in items)
-    raise TypeError(f"not a target term: {t!r}")
+        elif not (tu is PVar or tu is App or tu is Proj or tu is Tuple):
+            raise TypeError(f"not a target term: {u!r}")
+    return True
 
 
 class _Binds:

@@ -5,12 +5,17 @@ cut. Run at a program's exact step count, the run ends in its final
 outcome; one step less, or at fuel 0 for a program that steps at all,
 it ends in `FuelExhausted`. `normalize_*` and `bisim._interp_trajectory`
 must agree on the labels, the last term and the classification.
+
+The machines' `run_loop` keeps the same contract with its own record:
+the final status at the exact transition count, `"fuel"` one short,
+and exactly one probe step past the fuel.
 """
 
 from pathlib import Path
 
 import pytest
 
+from tamc.analysis import MACHINES
 from tamc.bisim import _interp_trajectory, _outcome_str
 from tamc.calculi import (
     FuelExhausted,
@@ -21,6 +26,7 @@ from tamc.calculi import (
     step_source,
     step_target,
 )
+from tamc.machine_common import run_loop
 from tamc.syntax import parse
 from tamc.transforms import closure_convert, wrap
 
@@ -54,3 +60,29 @@ def test_normalize_and_the_bisim_trajectory_agree_at_the_edges_of_the_fuel(path)
                 assert isinstance(r.final, FuelExhausted), where
             else:
                 assert r.final == full.final, where
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.lam")), ids=lambda p: p.stem)
+def test_run_loop_stops_at_the_edges_of_the_fuel(path):
+    u = parse(path.read_text())
+    for machine, m in MACHINES.items():
+        start = m.init(m.translate(u))
+        full = run_loop(m.step, m.measure, start, CAP)
+        exact = full.steps
+        for fuel in sorted({exact, max(exact - 1, 0), 0}):
+            where = (path.stem, machine, fuel)
+            calls = 0
+
+            def step(s):
+                nonlocal calls
+                calls += 1
+                return m.step(s)
+
+            r = run_loop(step, m.measure, start, fuel)
+            assert r.labels == full.labels[:fuel], where
+            assert calls == fuel + 1, where  # the transitions, then one probe
+            assert r.elem_ops == sum(r.elem_by_name.values()), where
+            if fuel < exact or full.final == "fuel":
+                assert (r.final, r.clash) == ("fuel", None), where
+            else:
+                assert r == full, where
