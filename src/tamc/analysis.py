@@ -39,7 +39,6 @@ from .terms import (
     App,
     Closure,
     IntTerm,
-    Proj,
     PVar,
     PVarBag,
     TClosure,
@@ -48,6 +47,7 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
+    fold,
     metrics,
 )
 from .transforms import closure_convert, reverse_convert, unwrap, wrap
@@ -229,42 +229,37 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
     """
     memo: dict[int, tuple] = {}
 
-    def term_size(t, sizes: dict) -> int:
-        if not sizes:
-            hit = memo.get(id(t))
-            if hit is not None:
-                return hit[1]
-        # tuples first: the unfolded explosion results are mostly tuple nodes
-        match t:
-            case Tuple(items=items):
-                out = len(items) + sum(term_size(i, sizes) for i in items)
-            case Var(name=name):
-                return sizes.get(name, 1)
-            case PVar(base=base, index=i):
-                return sizes.get(i, 1) if base == "l" else 1
-            case Closure(wrapped=w, params=p, body=b, bag=bag):
-                out = closure_size([v.name for v in w], len(p), b, bag, sizes)
-            case TClosure(n_wrapped=n, n_params=m, body=b, bag=bag):
-                out = closure_size(range(1, n + 1), m, b, bag, sizes)
-            case App(fn=fn, arg=arg):
-                out = 1 + term_size(fn, sizes) + term_size(arg, sizes)
-            case Proj(arg=arg):
-                out = 1 + term_size(arg, sizes)
-            case _:
-                raise TypeError(f"not an intermediate or target term: {t!r}")
-        if not sizes:
-            memo[id(t)] = (t, out)
-        return out
+    def node(u, parts) -> int:
+        return (len(u.items) if type(u) is Tuple else 1) + sum(parts)
 
-    def closure_size(keys, m: int, body, bag, sizes: dict) -> int:
-        match bag:
-            case ValBag(vals=vals):
-                inner = {k: term_size(v, {}) for k, v in zip(keys, vals)}
-            case VarBag(vars=vs) | PVarBag(pvars=vs):
-                inner = {k: term_size(v, sizes) for k, v in zip(keys, vs)}
-        return 1 + m + term_size(body, inner)
+    def under(sizes: dict):
+        def leaf(u) -> int:
+            tu = type(u)
+            if tu is Var:
+                return sizes.get(u.name, 1)
+            if tu is PVar:
+                return sizes.get(u.index, 1) if u.base == "l" else 1
+            if tu is Closure:
+                keys, m = [v.name for v in u.wrapped], len(u.params)
+            elif tu is TClosure:
+                keys, m = range(1, u.n_wrapped + 1), u.n_params
+            else:
+                raise TypeError(f"not an intermediate or target term: {u!r}")
+            match u.bag:
+                case ValBag(vals=vals):
+                    # a loop, not a comprehension: nested bags cost no extra frame
+                    inner = {}
+                    for k, v in zip(keys, vals):
+                        inner[k] = fold(v, under({}), node, memo)
+                case VarBag(vars=vs) | PVarBag(pvars=vs):
+                    inner = {k: leaf(v) for k, v in zip(keys, vs)}
+                case _:
+                    raise TypeError(f"not an intermediate or target term: {u!r}")
+            return 1 + m + fold(u.body, under(inner), node, None if inner else memo)
 
-    return term_size(t, {})
+        return leaf
+
+    return fold(t, under({}), node, memo)
 
 
 unfolded_size_from_target = unfolded_size_from_int

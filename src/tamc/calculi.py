@@ -38,6 +38,7 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
+    fold,
     free_vars,
     reject_closures,
 )
@@ -175,27 +176,23 @@ def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
     machine's readback, with the environment's own lookup.
     """
 
-    def go(t):
-        match t:
+    def leaf(u):
+        match u:
             case Var() | PVar():
-                return resolve(t)
+                return resolve(u)
             # w and p are the binder lists of a Closure, the arities of a TClosure
             case Closure(w, p, body, bag) | TClosure(w, p, body, bag):
                 match bag:
                     case VarBag(vs) | PVarBag(vs):
-                        new_bag = ValBag(tuple(resolve(v) for v in vs))
-                    case ValBag(vals):
-                        new_bag = ValBag(tuple(go(v) for v in vals))
-                return type(t)(w, p, body, new_bag)
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Proj(i, arg):
-                return Proj(i, go(arg))
-            case Tuple(items):
-                return Tuple(tuple(go(it) for it in items))
-        raise TypeError(f"not an intermediate or target term: {t!r}")
+                        vals = tuple(map(resolve, vs))
+                    case ValBag(vs):
+                        vals = tuple(fold(v, leaf) for v in vs)
+                    case _:
+                        raise TypeError(f"not an intermediate or target term: {u!r}")
+                return type(u)(w, p, body, ValBag(vals))
+        raise TypeError(f"not an intermediate or target term: {u!r}")
 
-    return go(t)
+    return fold(t, leaf)
 
 
 def subst_int(

@@ -42,7 +42,7 @@ from .machine_common import (
     lookup,
     run_loop,
 )
-from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, free_vars, reject_closures, shared_size_source
+from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, fold, free_vars, reject_closures, shared_size_source
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,23 +168,34 @@ def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
 
     memo maps id(v) to (v, its read-back term) for every value read
     back so far; holding v keeps its id from being reused, so one memo
-    can serve several readbacks.
+    can serve several readbacks. A closure's environment values and a
+    tuple's items are read back before the value itself, from an
+    explicit stack, so nesting depth costs no Python frames.
     """
     if memo is None:
         memo = {}
-    key = id(v)
-    hit = memo.get(key)
+    hit = memo.get(id(v))
     if hit is not None:
         return hit[1]
-    match v:
-        case SClos(abs=ab, env=env):
-            out = _env_subst(ab, env, memo)
-        case STup(items=items):
-            out = Tuple(tuple(readback_value(i, memo) for i in items))
-        case _:
-            raise MachineInvariantError(f"not a machine value: {v!r}")
-    memo[key] = (v, out)
-    return out
+    todo = [v]
+    while todo:
+        u = todo[-1]
+        if id(u) in memo:
+            todo.pop()
+            continue
+        if type(u) is SClos:
+            unread = [val for _, val in u.env if id(val) not in memo]
+        elif type(u) is STup:
+            unread = [p for p in u.items if id(p) not in memo]
+        else:
+            raise MachineInvariantError(f"not a machine value: {u!r}")
+        if unread:
+            todo += unread
+        elif type(u) is SClos:
+            memo[id(u)] = (u, _env_subst(u.abs, u.env, memo))
+        else:
+            memo[id(u)] = (u, Tuple(tuple(memo[id(p)][1] for p in u.items)))
+    return memo[id(v)][1]
 
 
 def _env_subst(t: SourceTerm, env: tuple, memo: dict) -> SourceTerm:
@@ -195,26 +206,21 @@ def _env_subst(t: SourceTerm, env: tuple, memo: dict) -> SourceTerm:
     An empty env leaves t itself: by the closure invariant t is closed.
     """
 
-    def walk(t: SourceTerm, shadow: frozenset) -> SourceTerm:
-        match t:
-            case Var(name=name):
-                if name in shadow:
-                    return t
-                return readback_value(lookup(env, t)[0], memo)
-            case Abs(params=params, body=body):
-                inner = shadow | {p.name for p in params}
-                return Abs(params, walk(body, inner))
-            case App(fn=fn, arg=arg):
-                return App(walk(fn, shadow), walk(arg, shadow))
-            case Proj(index=i, arg=arg):
-                return Proj(i, walk(arg, shadow))
-            case Tuple(items=items):
-                return Tuple(tuple(walk(i, shadow) for i in items))
-        raise MachineInvariantError(f"not a source term: {t!r}")
+    def under(shadow: frozenset):
+        def leaf(u):
+            if type(u) is Var:
+                if u.name in shadow:
+                    return u
+                return readback_value(lookup(env, u)[0], memo)
+            if type(u) is Abs:
+                return Abs(u.params, fold(u.body, under(shadow | {p.name for p in u.params})))
+            raise MachineInvariantError(f"not a source term: {u!r}")
+
+        return leaf
 
     if not env:
         return t
-    return walk(t, frozenset())
+    return fold(t, under(frozenset()))
 
 
 def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:

@@ -19,6 +19,7 @@ nothing. Projection indices are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +145,56 @@ class TermMetrics:
     height: int
 
 
+_BUILD = object()  # on fold's stack, marks a node whose parts are done
+
+
+def fold(t, leaf, node=None, memo=None):
+    """Fold t bottom-up on an explicit stack, its parts before it.
+
+    Applications, projections and tuples are walked here; every other
+    node (a variable, abstraction or closure) goes to leaf(u), in
+    left-to-right pre-order, and leaf folds binder bodies and value bags
+    itself. Without node, an application, projection or tuple is rebuilt
+    from its parts' results, or is itself the result when no part
+    changed; with node, its result is node(u, parts). memo, when given,
+    maps id(u) to (u, its result) for every node but a Var or PVar. Only
+    the binder bodies and value bags that leaf folds cost Python frames.
+    """
+    if memo is not None and id(t) in memo:
+        return memo[id(t)][1]
+    todo, done = [t], []
+    while todo:
+        u = todo.pop()
+        tu = type(u)
+        if u is _BUILD:
+            u = todo.pop()
+            tu = type(u)
+            k = len(done) - (2 if tu is App else 1 if tu is Proj else len(u.items))
+            parts = done[k:]
+            del done[k:]
+            if node is not None:
+                r = node(u, parts)
+            elif tu is App:
+                r = u if parts[0] is u.fn and parts[1] is u.arg else App(*parts)
+            elif tu is Proj:
+                r = u if parts[0] is u.arg else Proj(u.index, *parts)
+            else:
+                r = u if all(map(is_, parts, u.items)) else Tuple(tuple(parts))
+        elif memo is not None and id(u) in memo:
+            done.append(memo[id(u)][1])
+            continue
+        elif tu is App or tu is Proj or tu is Tuple:
+            todo += (u, _BUILD)
+            todo += (u.arg, u.fn) if tu is App else (u.arg,) if tu is Proj else reversed(u.items)
+            continue
+        else:
+            r = leaf(u)
+        if memo is not None and tu is not Var and tu is not PVar:
+            memo[id(u)] = (u, r)
+        done.append(r)
+    return done[0]
+
+
 def metrics(t: SourceTerm) -> TermMetrics:
     """Size, width, and height of a source term.
 
@@ -160,37 +211,22 @@ def metrics(t: SourceTerm) -> TermMetrics:
     """
     memo: dict = {}
 
-    def go(t) -> tuple[int, int, int]:
-        if type(t) is Var:
+    def leaf(u) -> tuple[int, int, int]:
+        if type(u) is Var:
             return 1, 0, 0
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        match t:
-            case Abs(params, body):
-                s, w, h = go(body)
-                k = len(params)
-                out = s + k + 1, max(w, k), h + k
-            case App(fn, arg):
-                s1, w1, h1 = go(fn)
-                s2, w2, h2 = go(arg)
-                out = s1 + s2 + 1, max(w1, w2), max(h1, h2)
-            case Proj(_, arg):
-                s, w, h = go(arg)
-                out = s + 1, w, h
-            case Tuple(items):
-                parts = [go(it) for it in items]
-                out = (
-                    len(items) + sum(p[0] for p in parts),
-                    max([len(items)] + [p[1] for p in parts], default=0),
-                    max([p[2] for p in parts], default=0),
-                )
-            case _:
-                raise TypeError(f"not a source term: {t!r}")
-        memo[id(t)] = (t, out)
-        return out
+        if type(u) is Abs:
+            s, w, h = fold(u.body, leaf, node, memo)
+            k = len(u.params)
+            return s + k + 1, max(w, k), h + k
+        raise TypeError(f"not a source term: {u!r}")
 
-    return TermMetrics(*go(t))
+    def node(u, parts) -> tuple[int, int, int]:
+        # the node's own share: a tuple adds its length and offers it as a width
+        own = (len(u.items), len(u.items), 0) if type(u) is Tuple else (1, 0, 0)
+        sizes, widths, heights = zip(own, *parts)
+        return sum(sizes), max(widths), max(heights)
+
+    return TermMetrics(*fold(t, leaf, node, memo))
 
 
 def _walk(t, bodies: bool):
@@ -276,6 +312,10 @@ def _merge(parts) -> tuple[Var, ...]:
     return first + tuple(new) if new else first
 
 
+def _merge_parts(u, parts) -> tuple[Var, ...]:
+    return _merge(parts)
+
+
 def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, ...]:
     """Free variables in order of first occurrence, left to right.
 
@@ -294,36 +334,23 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
     if memo is None:
         memo = {}
 
-    def go(t) -> tuple[Var, ...]:
-        if type(t) is Var:
-            return (t,)
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        match t:
-            case Abs(params, body):
-                out = _unbound(go(body), params)
-            case App(fn, arg):
-                out = _merge((go(fn), go(arg)))
-            case Proj(_, arg):
-                out = go(arg)
-            case Tuple(items):
-                out = _merge([go(it) for it in items])
-            case Closure(wrapped, params, body, bag):
-                inner = _unbound(go(body), wrapped + params)
-                match bag:
-                    case VarBag(vs):
-                        # a malformed bag may repeat a variable
-                        outer = _merge([(v,) for v in vs])
-                    case ValBag(vals):
-                        outer = _merge([go(v) for v in vals])
-                out = _merge((inner, outer))
-            case _:
-                raise TypeError(f"term has no named variables: {t!r}")
-        memo[id(t)] = (t, out)
-        return out
+    def leaf(u) -> tuple[Var, ...]:
+        tu = type(u)
+        if tu is Var:
+            return (u,)
+        if tu is Abs:
+            return _unbound(fold(u.body, leaf, _merge_parts, memo), u.params)
+        bag = u.bag if tu is Closure else None
+        if type(bag) is VarBag:
+            # a malformed bag may repeat a variable
+            outer = _merge([(v,) for v in bag.vars])
+        elif type(bag) is ValBag:
+            outer = _merge([fold(v, leaf, _merge_parts, memo) for v in bag.vals])
+        else:
+            raise TypeError(f"term has no named variables: {u!r}")
+        return _merge((_unbound(fold(u.body, leaf, _merge_parts, memo), u.wrapped + u.params), outer))
 
-    return go(t)
+    return fold(t, leaf, _merge_parts, memo)
 
 
 def reject_closures(memo: dict, t) -> None:
@@ -433,15 +460,19 @@ def closed_target(t: TargetTerm) -> bool:
 def well_formed_target(t: TargetTerm) -> bool:
     """Check arity promises: body norms within (n, m), bag length n.
 
-    A closure is checked when the walk reaches it, before its bag
-    entries and its body, and the first failing closure answers False.
+    Every projection index, in a bag or not, must be at least 1. A
+    closure is checked when the walk reaches it, before its bag entries
+    and its body, and the first failing node answers False.
     """
     for u in _walk(t, True):
         tu = type(u)
-        if tu is TClosure:
+        if tu is PVar:
+            if u.index < 1:
+                return False
+        elif tu is TClosure:
             n, m, bag = u.n_wrapped, u.n_params, u.bag
             if type(bag) is PVarBag:
-                fits = len(bag.pvars) == n
+                fits = len(bag.pvars) == n and all(p.index >= 1 for p in bag.pvars)
             elif type(bag) is ValBag:
                 fits = len(bag.vals) == n and all(map(is_value_target, bag.vals))
             else:
@@ -451,7 +482,7 @@ def well_formed_target(t: TargetTerm) -> bool:
             l, s = norms_target(u.body)
             if l > n or s > m:
                 return False
-        elif not (tu is PVar or tu is App or tu is Proj or tu is Tuple):
+        elif not (tu is App or tu is Proj or tu is Tuple):
             raise TypeError(f"not a target term: {u!r}")
     return True
 

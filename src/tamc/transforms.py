@@ -19,19 +19,17 @@ from __future__ import annotations
 from .calculi import subst_source_any
 from .terms import (
     Abs,
-    App,
     Closure,
     IntTerm,
     PVar,
     PVarBag,
-    Proj,
     SourceTerm,
     TargetTerm,
     TClosure,
-    Tuple,
     ValBag,
     Var,
     VarBag,
+    fold,
     free_vars,
     norms_target,
 )
@@ -73,22 +71,15 @@ def wrap(t: SourceTerm) -> IntTerm:
     """
     memo: dict = {}
 
-    def go(t):
-        match t:
-            case Var(_):
-                return t
-            case Abs(params, body):
-                ys = free_vars(t, memo)
-                return Closure(ys, params, go(body), VarBag(ys))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Proj(i, arg):
-                return Proj(i, go(arg))
-            case Tuple(items):
-                return Tuple(tuple(go(it) for it in items))
-        raise TypeError(f"not a source term: {t!r}")
+    def leaf(u):
+        if type(u) is Var:
+            return u
+        if type(u) is Abs:
+            ys = free_vars(u, memo)
+            return Closure(ys, u.params, fold(u.body, leaf), VarBag(ys))
+        raise TypeError(f"not a source term: {u!r}")
 
-    return go(t)
+    return fold(t, leaf)
 
 
 def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
@@ -99,7 +90,8 @@ def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
     or the bag's variables themselves (a renaming) from a variable bag.
     Substituting open values under the restored binder is
     capture-avoiding: subst_source_any freshens the params when a bag
-    entry's free variable would be captured.
+    entry's free variable would be captured. A variable bag equal to the
+    wrapped list, as wrap makes every bag, renames nothing and skips it.
 
     memo, when given, is a dict that one caller passes to every unwrap
     of one run: id(node) maps to (node, its unwrapping) for every node
@@ -108,35 +100,25 @@ def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
     its node, so no id is reused while the memo lives and a hit is what
     recomputing would give. Without a memo nothing is reused.
     """
-    if type(t) is Var:
-        return t
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-    match t:
-        case Closure(wrapped, params, body, bag):
-            match bag:
-                case VarBag(vs):
-                    entries = vs
-                case ValBag(vals):
-                    entries = tuple(unwrap(v, memo) for v in vals)
-            if len(entries) != len(wrapped):
-                raise ValueError(
-                    f"closure bag has {len(entries)} entries for {len(wrapped)} wrapped variables"
-                )
-            out = subst_source_any(Abs(params, unwrap(body, memo)), dict(zip(wrapped, entries)))
-        case App(fn, arg):
-            out = App(unwrap(fn, memo), unwrap(arg, memo))
-        case Proj(i, arg):
-            out = Proj(i, unwrap(arg, memo))
-        case Tuple(items):
-            out = Tuple(tuple(unwrap(it, memo) for it in items))
-        case _:
-            raise TypeError(f"not an intermediate term: {t!r}")
-    if memo is not None:
-        memo[id(t)] = (t, out)
-    return out
+
+    def leaf(u):
+        if type(u) is Var:
+            return u
+        bag = u.bag if type(u) is Closure else None
+        if type(bag) is VarBag:
+            entries = bag.vars
+        elif type(bag) is ValBag:
+            entries = tuple(fold(v, leaf, None, memo) for v in bag.vals)
+        else:
+            raise TypeError(f"not an intermediate term: {u!r}")
+        if len(entries) != len(u.wrapped):
+            raise ValueError(
+                f"closure bag has {len(entries)} entries for {len(u.wrapped)} wrapped variables"
+            )
+        out = Abs(u.params, fold(u.body, leaf, None, memo))
+        return out if entries == u.wrapped else subst_source_any(out, dict(zip(u.wrapped, entries)))
+
+    return fold(t, leaf, None, memo)
 
 
 def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
@@ -147,40 +129,37 @@ def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
     closure's body is translated under the closure's own lists, its bag
     under the enclosing ones.
     """
-    if set(wrapped) & set(params):
-        raise ValueError("wrapped and param lists must be disjoint")
-    l_index = {v: i for i, v in enumerate(wrapped, start=1)}
-    s_index = {v: j for j, v in enumerate(params, start=1)}
 
-    def resolve(v: Var) -> PVar:
-        i = l_index.get(v)
-        if i is not None:
-            return PVar("l", i)
-        j = s_index.get(v)
-        if j is not None:
-            return PVar("s", j)
-        raise ValueError(f"variable {v.name} is bound by neither list")
+    def under(wrapped: tuple, params: tuple):
+        if set(wrapped) & set(params):
+            raise ValueError("wrapped and param lists must be disjoint")
+        l_index = {v: i for i, v in enumerate(wrapped, start=1)}
+        s_index = {v: j for j, v in enumerate(params, start=1)}
 
-    def go(t):
-        match t:
-            case Var(_):
-                return resolve(t)
-            case Closure(w, p, body, bag):
-                match bag:
-                    case VarBag(vs):
-                        new_bag = PVarBag(tuple(resolve(v) for v in vs))
-                    case ValBag(vals):
-                        new_bag = ValBag(tuple(go(v) for v in vals))
-                return TClosure(len(w), len(p), eliminate_names(body, w, p), new_bag)
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Proj(i, arg):
-                return Proj(i, go(arg))
-            case Tuple(items):
-                return Tuple(tuple(go(it) for it in items))
-        raise TypeError(f"not an intermediate term: {t!r}")
+        def resolve(v: Var) -> PVar:
+            i = l_index.get(v)
+            if i is not None:
+                return PVar("l", i)
+            j = s_index.get(v)
+            if j is not None:
+                return PVar("s", j)
+            raise ValueError(f"variable {v.name} is bound by neither list")
 
-    return go(t)
+        def leaf(u):
+            match u:
+                case Var():
+                    return resolve(u)
+                case Closure(w, p, body, VarBag(vs)):
+                    new_bag = PVarBag(tuple(map(resolve, vs)))
+                case Closure(w, p, body, ValBag(vals)):
+                    new_bag = ValBag(tuple(fold(v, leaf) for v in vals))
+                case _:
+                    raise TypeError(f"not an intermediate term: {u!r}")
+            return TClosure(len(w), len(p), fold(body, under(w, p)), new_bag)
+
+        return leaf
+
+    return fold(t, under(wrapped, params))
 
 
 def naming(
@@ -200,59 +179,56 @@ def naming(
     memo, when given, is a dict that one caller passes to every naming
     of one run, together with one supply for all of them. A node's
     naming depends on the node and the two enclosing lists only, so
-    (id(node), id(wrapped), id(params)) maps to (node, wrapped, params,
-    its naming). A closure body's projections resolve against the
-    body's own lists, so a body is named once, under the names minted
-    for it the first time it is met: id(body) maps to (body, wrapped
-    names, param names), used again by every closure of the same arity
-    that shares the body, while each closure's bag is still resolved
-    against its enclosing lists. Closures sharing a body may thus share
-    binder names, which captures nothing: names minted for different
-    bodies differ, and a body cannot contain itself. Each entry holds
-    its keyed objects, so no id is reused while the memo lives. Without
-    a memo every closure mints fresh names.
+    memo keeps one context per pair of lists: (id(wrapped), id(params))
+    maps to (wrapped, params, the fold memo of the namings under them).
+    A closure body's projections resolve against the body's own lists,
+    so a body is named once, under the names minted for it the first
+    time it is met: id(body) maps to (body, wrapped names, param names),
+    used again by every closure of the same arity that shares the body,
+    while each closure's bag is still resolved against its enclosing
+    lists. Closures sharing a body may thus share binder names, which
+    captures nothing: names minted for different bodies differ, and a
+    body cannot contain itself. Each entry holds its keyed objects, so
+    no id is reused while the memo lives. Without a memo every closure
+    mints fresh names.
     """
 
-    def resolve(p: PVar) -> Var:
-        vars_ = wrapped if p.base == "l" else params
-        if not 1 <= p.index <= len(vars_):
-            raise ValueError(f"pi{p.index} {p.base} outside the enclosing {len(vars_)} names")
-        return vars_[p.index - 1]
+    def under(wrapped: tuple, params: tuple):
+        key = (id(wrapped), id(params))
+        context = None if memo is None else memo.setdefault(key, (wrapped, params, {}))[2]
 
-    if type(t) is PVar:
-        return resolve(t)
-    if memo is not None:
-        hit = memo.get((id(t), id(wrapped), id(params)))
-        if hit is not None:
-            return hit[3]
-    match t:
-        case TClosure(n, m, body, bag):
-            names = None if memo is None else memo.get(id(body))
-            if names is None or len(names[1]) != n or len(names[2]) != m:
-                names = (body, supply.wrapped_vars(n), supply.param_vars(m))
-                if memo is not None:
-                    memo[id(body)] = names
-            _, zs, ws = names
-            match bag:
-                case PVarBag(ps):
-                    new_bag = VarBag(tuple(resolve(p) for p in ps))
-                case ValBag(vals):
-                    new_bag = ValBag(tuple(naming(v, wrapped, params, supply, memo) for v in vals))
-            out = Closure(zs, ws, naming(body, zs, ws, supply, memo), new_bag)
-        case App(fn, arg):
-            out = App(
-                naming(fn, wrapped, params, supply, memo),
-                naming(arg, wrapped, params, supply, memo),
-            )
-        case Proj(i, arg):
-            out = Proj(i, naming(arg, wrapped, params, supply, memo))
-        case Tuple(items):
-            out = Tuple(tuple(naming(it, wrapped, params, supply, memo) for it in items))
-        case _:
-            raise TypeError(f"not a target term: {t!r}")
-    if memo is not None:
-        memo[(id(t), id(wrapped), id(params))] = (t, wrapped, params, out)
-    return out
+        def resolve(p: PVar) -> Var:
+            vars_ = wrapped if p.base == "l" else params
+            if not 1 <= p.index <= len(vars_):
+                raise ValueError(f"pi{p.index} {p.base} outside the enclosing {len(vars_)} names")
+            return vars_[p.index - 1]
+
+        def leaf(u):
+            match u:
+                case PVar():
+                    return resolve(u)
+                case TClosure(n, m, body, bag):
+                    names = None if memo is None else memo.get(id(body))
+                    if names is None or len(names[1]) != n or len(names[2]) != m:
+                        names = (body, supply.wrapped_vars(n), supply.param_vars(m))
+                        if memo is not None:
+                            memo[id(body)] = names
+                    _, zs, ws = names
+                    match bag:
+                        case PVarBag(ps):
+                            new_bag = VarBag(tuple(map(resolve, ps)))
+                        case ValBag(vals):
+                            new_bag = ValBag(tuple(fold(v, leaf, None, context) for v in vals))
+                        case _:
+                            raise TypeError(f"not a target term: {u!r}")
+                    body_leaf, body_context = under(zs, ws)
+                    return Closure(zs, ws, fold(body, body_leaf, None, body_context), new_bag)
+            raise TypeError(f"not a target term: {u!r}")
+
+        return leaf, context
+
+    leaf, context = under(wrapped, params)
+    return fold(t, leaf, None, context)
 
 
 def closure_convert(t: SourceTerm) -> TargetTerm:

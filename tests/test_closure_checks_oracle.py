@@ -151,8 +151,8 @@ def ref_norms_target(t) -> tuple[int, int]:
 
 def ref_well_formed_target(t) -> bool:
     match t:
-        case PVar(_, _):
-            return True
+        case PVar(_, i):
+            return i >= 1
         case TClosure(n, m, body, bag):
             if n < 0 or m < 0:
                 return False
@@ -163,7 +163,7 @@ def ref_well_formed_target(t) -> bool:
                 return False
             match bag:
                 case PVarBag(ps):
-                    return len(ps) == n
+                    return len(ps) == n and all(p.index >= 1 for p in ps)
                 case ValBag(vals):
                     return len(vals) == n and all(
                         is_value_target(v) and ref_well_formed_target(v) for v in vals
