@@ -250,7 +250,7 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
                     # a loop, not a comprehension: nested bags cost no extra frame
                     inner = {}
                     for k, v in zip(keys, vals):
-                        inner[k] = fold(v, under({}), node, memo)
+                        inner[k] = fold(v, top, node, memo)
                 case VarBag(vars=vs) | PVarBag(pvars=vs):
                     inner = {k: leaf(v) for k, v in zip(keys, vs)}
                 case _:
@@ -259,7 +259,8 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
 
         return leaf
 
-    return fold(t, under({}), node, memo)
+    top = under({})  # the empty size map's leaf, for the root and every bag value
+    return fold(t, top, node, memo)
 
 
 unfolded_size_from_target = unfolded_size_from_int

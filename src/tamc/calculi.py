@@ -41,6 +41,7 @@ from .terms import (
     fold,
     free_vars,
     reject_closures,
+    tuple_of_values,
 )
 
 DEFAULT_FUEL = 100_000
@@ -103,7 +104,9 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
     """Capture-avoiding simultaneous substitution, replacements arbitrary.
 
     Binders are renamed only when they would capture a free variable of
-    a replacement; untouched subterms are returned as-is (shared).
+    a replacement; untouched subterms are returned as-is (shared). Each
+    fold memoizes its results, so a shared subterm is visited once per
+    binder scope.
     """
     if not mapping:
         return t
@@ -112,44 +115,34 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
     def names(u) -> set:
         return {v.name for v in free_vars(u, memo)}
 
-    def go(t, mp, dom):
-        if not any(v.name in dom for v in free_vars(t, memo)):
-            return t
-        match t:
-            case Var(_):
-                return mp.get(t, t)
-            case App(fn, arg):
-                return App(go(fn, mp, dom), go(arg, mp, dom))
-            case Proj(i, arg):
-                return Proj(i, go(arg, mp, dom))
-            case Tuple(items):
-                return Tuple(tuple(go(it, mp, dom) for it in items))
-            case Abs(params, body):
-                body_names = names(body)
-                live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
-                repl_names = set().union(*(names(r) for r in live.values()))
-                if any(p.name in repl_names for p in params):
-                    avoid = repl_names | body_names | {p.name for p in params}
-                    new_params = []
-                    renames = {}
-                    for p in params:
-                        if p.name in repl_names:
-                            fresh = Var(_fresh_name(p.name, avoid))
-                            avoid.add(fresh.name)
-                            renames[p] = fresh
-                            new_params.append(fresh)
-                        else:
-                            new_params.append(p)
-                    live = live | {old: new for old, new in renames.items()}
-                    params = tuple(new_params)
-                new_dom = frozenset(v.name for v in live)
-                return Abs(params, go(body, live, new_dom))
-        raise TypeError(f"not a source term: {t!r}")
+    def under(mp: dict):
+        def leaf(u):
+            if type(u) is Var:
+                return mp.get(u, u)
+            if type(u) is not Abs:
+                raise TypeError(f"not a source term: {u!r}")
+            params, body = u.params, u.body
+            body_names = names(body)
+            live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
+            if not live:
+                return u
+            repl_names = set().union(*(names(r) for r in live.values()))
+            if any(p.name in repl_names for p in params):
+                # a capturing param is renamed in the body too: live binds no param
+                avoid = repl_names | body_names | {p.name for p in params}
+                for p in params:
+                    if p.name in repl_names:
+                        live[p] = Var(_fresh_name(p.name, avoid))
+                        avoid.add(live[p].name)
+                params = tuple(live.get(p, p) for p in params)
+            return Abs(params, fold(body, under(live), None, {}))
 
-    out = go(t, dict(mapping), frozenset(v.name for v in mapping))
-    # go's first call walked the whole term; walking each replacement as
-    # well, a replacement no binder inspected included, puts every node
-    # of both in the memo.
+        return leaf
+
+    out = fold(t, under(mapping), None, {})
+    # the leaf rejects a foreign node outside binders and reads the free
+    # variables of every abstraction body it meets; walking each
+    # replacement as well puts every other node of both in the memo.
     for r in mapping.values():
         free_vars(r, memo)
     reject_closures(memo, t)
@@ -249,6 +242,15 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
 _VALUE = ValueOutcome()
 
 
+def _plug(u, k: int, t):
+    """u with its k-th child replaced by t (App: 0 function, 1 argument)."""
+    if type(u) is App:
+        return App(t, u.arg) if k == 0 else App(u.fn, t)
+    if type(u) is Proj:
+        return Proj(u.index, t)
+    return Tuple(u.items[:k] + (t,) + u.items[k + 1 :])
+
+
 def _stepper(is_abs_value, apply_root):
     """Build a step function from the calculus-specific pieces.
 
@@ -257,58 +259,53 @@ def _stepper(is_abs_value, apply_root):
     value. A tuple in function position is the same clash in every
     calculus. A leaf in redex position that is not a value (a variable)
     is OpenStuck.
+
+    A step decomposes, contracts and plugs. One memoized fold marks
+    which subterms outside binders are values. A loop walks down the
+    non-values in evaluation order, recording (node, child index) pairs,
+    the evaluation context; their indices are the redex path. The
+    contractum is plugged back up that list.
     """
 
     def step(t):
-        isv_memo: dict = {}
+        memo: dict = {}
+        fold(t, is_abs_value, tuple_of_values, memo)
+        ctx = []
+        u = t
+        while type(u) is App or type(u) is Proj or type(u) is Tuple:
+            parts = (u.fn, u.arg) if type(u) is App else (u.arg,) if type(u) is Proj else u.items
+            k = len(parts) - 1
+            # fold memoizes every part but a variable, and no variable is a value
+            while k >= 0 and id(parts[k]) in memo and memo[id(parts[k])][1]:
+                k -= 1
+            if k < 0:
+                break
+            ctx.append((u, k))
+            u = parts[k]
 
-        def isv(u) -> bool:
-            cached = isv_memo.get(id(u))
-            if cached is not None:
-                return cached
-            match u:
-                case Tuple(items):
-                    r = all(isv(it) for it in items)
-                case _:
-                    r = is_abs_value(u)
-            isv_memo[id(u)] = r
+        path = tuple(k for _, k in ctx)
+        tu = type(u)
+        if tu is Tuple:
+            # every item is a value; only the root can be such a tuple,
+            # since the walk enters non-values only
+            return _VALUE
+        if tu is Proj:
+            arg = u.arg
+            if type(arg) is not Tuple or not 1 <= u.index <= len(arg.items):
+                return ClashOutcome(ClashKind.PROJECTION, path)
+            r = Stepped(StepLabel.PI, arg.items[u.index - 1])
+        elif tu is App:
+            if type(u.fn) is Tuple:
+                return ClashOutcome(ClashKind.TUPLE, path)
+            r = apply_root(u.fn, u.arg, path)
+        else:
+            return _VALUE if is_abs_value(u) else OpenStuckOutcome(u, path)
+        if not ctx or type(r) is not Stepped:
             return r
-
-        def descend(child, path, rebuild):
-            r = go(child, path)
-            if isinstance(r, Stepped):
-                return Stepped(r.label, rebuild(r.term))
-            return r
-
-        def go(t, path):
-            match t:
-                case App(fn, arg):
-                    if not isv(arg):
-                        return descend(arg, path + (1,), lambda a: App(fn, a))
-                    if not isv(fn):
-                        return descend(fn, path + (0,), lambda f: App(f, arg))
-                    if isinstance(fn, Tuple):
-                        return ClashOutcome(ClashKind.TUPLE, path)
-                    return apply_root(fn, arg, path)
-                case Proj(i, arg):
-                    if not isv(arg):
-                        return descend(arg, path + (0,), lambda a: Proj(i, a))
-                    if isinstance(arg, Tuple) and 1 <= i <= len(arg.items):
-                        return Stepped(StepLabel.PI, arg.items[i - 1])
-                    return ClashOutcome(ClashKind.PROJECTION, path)
-                case Tuple(items):
-                    for k in range(len(items) - 1, -1, -1):
-                        if not isv(items[k]):
-                            def rebuild(it, k=k):
-                                return Tuple(items[:k] + (it,) + items[k + 1 :])
-
-                            return descend(items[k], path + (k,), rebuild)
-                    return _VALUE
-            if is_abs_value(t):
-                return _VALUE
-            return OpenStuckOutcome(t, path)
-
-        return go(t, ())
+        term = r.term
+        for node, k in reversed(ctx):
+            term = _plug(node, k, term)
+        return Stepped(r.label, term)
 
     return step
 
@@ -347,9 +344,9 @@ def _target_root(fn: TClosure, arg, path):
             return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
 
 
-step_source = _stepper(lambda t: isinstance(t, Abs), _source_root)
-step_int = _stepper(lambda t: isinstance(t, Closure), _int_root)
-step_target = _stepper(lambda t: isinstance(t, TClosure), _target_root)
+step_source = _stepper(lambda t: type(t) is Abs, _source_root)
+step_int = _stepper(lambda t: type(t) is Closure, _int_root)
+step_target = _stepper(lambda t: type(t) is TClosure, _target_root)
 
 
 def _normalize(step, t, fuel: int, reducts: list | None = None) -> NormalizeResult:

@@ -35,6 +35,7 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
+    fold,
 )
 
 
@@ -171,67 +172,66 @@ def parse(src: str) -> SourceTerm:
     return t
 
 
-# printer contexts: TOP admits anything bare, FN is the function side of
-# an application, ARG is an application argument or projection operand
-_TOP, _FN, _ARG = 0, 1, 2
+def _node(u, parts) -> str:
+    """An application, projection or tuple, printed from its parts' text."""
+    if type(u) is Tuple:
+        return "<" + ", ".join(parts) + ">"
+    # below the top an abstraction or indexed variable is parenthesized,
+    # and so is an application as an argument or projection operand
+    arg = f"({parts[-1]})" if type(u.arg) in (Abs, PVar, App) else parts[-1]
+    if type(u) is Proj:
+        return f"pi {u.index} {arg}"
+    fn = f"({parts[0]})" if type(u.fn) in (Abs, PVar) else parts[0]
+    return f"{fn} {arg}"
 
 
-def _print(t, ctx: int, leaf) -> str:
-    match t:
-        case Var(name):
-            return name
-        case App(fn, arg):
-            s = f"{_print(fn, _FN, leaf)} {_print(arg, _ARG, leaf)}"
-            return f"({s})" if ctx == _ARG else s
-        case Proj(i, arg):
-            return f"pi {i} {_print(arg, _ARG, leaf)}"
-        case Abs(params, body):
-            ps = ", ".join(p.name for p in params)
-            s = f"fun({ps}) -> {_print(body, _TOP, leaf)}"
-            return s if ctx == _TOP else f"({s})"
-        case Tuple(items):
-            return "<" + ", ".join(_print(it, _TOP, leaf) for it in items) + ">"
-    return leaf(t, ctx)
+def _print(t, other) -> str:
+    """Print t; other(u, leaf) prints any leaf but a variable or abstraction."""
+
+    def leaf(u) -> str:
+        if type(u) is Var:
+            return u.name
+        if type(u) is Abs:
+            ps = ", ".join(p.name for p in u.params)
+            return f"fun({ps}) -> {fold(u.body, leaf, _node)}"
+        return other(u, leaf)
+
+    return fold(t, leaf, _node)
 
 
 def print_source(t) -> str:
-    def leaf(t, ctx):
-        raise TypeError(f"not a source term: {t!r}")
+    def other(u, leaf):
+        raise TypeError(f"not a source term: {u!r}")
 
-    return _print(t, _TOP, leaf)
+    return _print(t, other)
 
 
 def _print_bag(bag, leaf) -> str:
     match bag:
-        case VarBag(vs):
-            return "<" + ", ".join(v.name for v in vs) + ">"
-        case PVarBag(ps):
-            return "<" + ", ".join(_print(p, _TOP, leaf) for p in ps) + ">"
-        case ValBag(vals):
-            return "<" + ", ".join(_print(v, _TOP, leaf) for v in vals) + ">"
+        case VarBag(vs) | PVarBag(vs) | ValBag(vs):
+            return "<" + ", ".join(fold(v, leaf, _node) for v in vs) + ">"
     raise TypeError(f"not a bag: {bag!r}")
 
 
 def print_int(t) -> str:
-    def leaf(t, ctx):
-        match t:
+    def other(u, leaf):
+        match u:
             case Closure(wrapped, params, body, bag):
                 ws = ", ".join(v.name for v in wrapped)
                 ps = ", ".join(v.name for v in params)
-                return f"[({ws}); ({ps}). {_print(body, _TOP, leaf)}]{_print_bag(bag, leaf)}"
-        raise TypeError(f"not an intermediate term: {t!r}")
+                return f"[({ws}); ({ps}). {fold(body, leaf, _node)}]{_print_bag(bag, leaf)}"
+        raise TypeError(f"not an intermediate term: {u!r}")
 
-    return _print(t, _TOP, leaf)
+    return _print(t, other)
 
 
 def print_target(t) -> str:
-    def leaf(t, ctx):
-        match t:
+    def other(u, leaf):
+        match u:
             case PVar(base, i):
-                s = f"pi{i} {base}"
-                return s if ctx == _TOP else f"({s})"
+                return f"pi{i} {base}"
             case TClosure(n, m, body, bag):
-                return f"[^{{{n},{m}}} {_print(body, _TOP, leaf)}]{_print_bag(bag, leaf)}"
-        raise TypeError(f"not a target term: {t!r}")
+                return f"[^{{{n},{m}}} {fold(body, leaf, _node)}]{_print_bag(bag, leaf)}"
+        raise TypeError(f"not a target term: {u!r}")
 
-    return _print(t, _TOP, leaf)
+    return _print(t, other)

@@ -371,14 +371,14 @@ def is_closed_source(t: SourceTerm | IntTerm) -> bool:
 closed_int = is_closed_source
 
 
+def tuple_of_values(u, parts) -> bool:
+    """fold's node rule for values: a tuple of values is one, an application or projection never."""
+    return type(u) is Tuple and all(parts)
+
+
 def is_value_source(t: AnyTerm) -> bool:
     """Values are abstractions, closures whatever their bag, and tuples of values."""
-    match t:
-        case Abs() | Closure() | TClosure():
-            return True
-        case Tuple(items):
-            return all(is_value_source(it) for it in items)
-    return False
+    return fold(t, lambda u: type(u) in (Abs, Closure, TClosure), tuple_of_values, {})
 
 
 is_value_int = is_value_target = is_value_source

@@ -293,3 +293,18 @@ def test_normalize_target():
     r = normalize_target(t)
     assert r.labels == (StepLabel.BETA,)
     assert r.term == TV
+
+
+def test_int_beta_rejects_a_closure_one_bag_value_short():
+    # one wrapped variable, an empty value bag, applied deep in a tuple
+    short = Closure((Var("z"),), (), Var("z"), ValBag(()))
+    with pytest.raises(ValueError) as e:
+        step_int(Tuple((App(short, Tuple(())),)))
+    assert str(e.value) == "ill-formed closure: 0 bag values for 1 wrapped variables"
+
+
+def test_target_beta_rejects_a_closure_one_bag_value_short():
+    short = TClosure(1, 0, PVar("l", 1), ValBag(()))
+    with pytest.raises(ValueError) as e:
+        step_target(Tuple((App(short, Tuple(())),)))
+    assert str(e.value) == "ill-formed closure: 0 bag values promised as 1"
