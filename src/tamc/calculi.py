@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .terms import (
     Abs,
@@ -38,10 +39,10 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
+    decompose,
     fold,
     free_vars,
     reject_closures,
-    tuple_of_values,
 )
 
 DEFAULT_FUEL = 100_000
@@ -179,7 +180,7 @@ def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
                     case VarBag(vs) | PVarBag(vs):
                         vals = tuple(map(resolve, vs))
                     case ValBag(vs):
-                        vals = tuple(fold(v, leaf) for v in vs)
+                        vals = tuple(map(fold, vs, repeat(leaf)))
                     case _:
                         raise TypeError(f"not an intermediate or target term: {u!r}")
                 return type(u)(w, p, body, ValBag(vals))
@@ -242,69 +243,44 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
 _VALUE = ValueOutcome()
 
 
-def _plug(u, k: int, t):
-    """u with its k-th child replaced by t (App: 0 function, 1 argument)."""
-    if type(u) is App:
-        return App(t, u.arg) if k == 0 else App(u.fn, t)
-    if type(u) is Proj:
-        return Proj(u.index, t)
-    return Tuple(u.items[:k] + (t,) + u.items[k + 1 :])
-
-
 def _stepper(is_abs_value, apply_root):
     """Build a step function from the calculus-specific pieces.
 
-    is_abs_value: classify the non-shared leaf constructors as value or
-    stuck; apply_root: handle an application of a function value to a
-    value. A tuple in function position is the same clash in every
-    calculus. A leaf in redex position that is not a value (a variable)
-    is OpenStuck.
-
-    A step decomposes, contracts and plugs. One memoized fold marks
-    which subterms outside binders are values. A loop walks down the
-    non-values in evaluation order, recording (node, child index) pairs,
-    the evaluation context; their indices are the redex path. The
-    contractum is plugged back up that list.
+    is_abs_value tells the leaves that are values (abstractions or
+    closures); apply_root applies a function value to a value. A step
+    finds the redex with terms.decompose, contracts it and plugs the
+    contractum back up the evaluation context, whose child indices are
+    the redex path. A tuple in function position is the same clash in
+    every calculus, and a stuck leaf (a variable) is OpenStuck.
     """
 
     def step(t):
-        memo: dict = {}
-        fold(t, is_abs_value, tuple_of_values, memo)
-        ctx = []
-        u = t
-        while type(u) is App or type(u) is Proj or type(u) is Tuple:
-            parts = (u.fn, u.arg) if type(u) is App else (u.arg,) if type(u) is Proj else u.items
-            k = len(parts) - 1
-            # fold memoizes every part but a variable, and no variable is a value
-            while k >= 0 and id(parts[k]) in memo and memo[id(parts[k])][1]:
-                k -= 1
-            if k < 0:
-                break
-            ctx.append((u, k))
-            u = parts[k]
-
-        path = tuple(k for _, k in ctx)
-        tu = type(u)
-        if tu is Tuple:
-            # every item is a value; only the root can be such a tuple,
-            # since the walk enters non-values only
+        found = decompose(t, is_abs_value)
+        if found is None:
             return _VALUE
-        if tu is Proj:
+        u, ctx = found
+        path = tuple(k for _, k in ctx)
+        if type(u) is Proj:
             arg = u.arg
             if type(arg) is not Tuple or not 1 <= u.index <= len(arg.items):
                 return ClashOutcome(ClashKind.PROJECTION, path)
             r = Stepped(StepLabel.PI, arg.items[u.index - 1])
-        elif tu is App:
-            if type(u.fn) is Tuple:
-                return ClashOutcome(ClashKind.TUPLE, path)
-            r = apply_root(u.fn, u.arg, path)
+        elif type(u) is not App:
+            return OpenStuckOutcome(u, path)
+        elif type(u.fn) is Tuple:
+            return ClashOutcome(ClashKind.TUPLE, path)
         else:
-            return _VALUE if is_abs_value(u) else OpenStuckOutcome(u, path)
+            r = apply_root(u.fn, u.arg, path)
         if not ctx or type(r) is not Stepped:
             return r
         term = r.term
-        for node, k in reversed(ctx):
-            term = _plug(node, k, term)
+        for node, k in reversed(ctx):  # plug the contractum back up the context
+            if type(node) is App:
+                term = App(term, node.arg) if k == 0 else App(node.fn, term)
+            elif type(node) is Proj:
+                term = Proj(node.index, term)
+            else:
+                term = Tuple(node.items[:k] + (term,) + node.items[k + 1 :])
         return Stepped(r.label, term)
 
     return step

@@ -19,6 +19,7 @@ nothing. Projection indices are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import is_
 
 
@@ -160,8 +161,6 @@ def fold(t, leaf, node=None, memo=None):
     maps id(u) to (u, its result) for every node but a Var or PVar. Only
     the binder bodies and value bags that leaf folds cost Python frames.
     """
-    if memo is not None and id(t) in memo:
-        return memo[id(t)][1]
     todo, done = [t], []
     while todo:
         u = todo.pop()
@@ -345,7 +344,7 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
             # a malformed bag may repeat a variable
             outer = _merge([(v,) for v in bag.vars])
         elif type(bag) is ValBag:
-            outer = _merge([fold(v, leaf, _merge_parts, memo) for v in bag.vals])
+            outer = _merge(list(map(fold, bag.vals, repeat(leaf), repeat(_merge_parts), repeat(memo))))
         else:
             raise TypeError(f"term has no named variables: {u!r}")
         return _merge((_unbound(fold(u.body, leaf, _merge_parts, memo), u.wrapped + u.params), outer))
@@ -371,14 +370,40 @@ def is_closed_source(t: SourceTerm | IntTerm) -> bool:
 closed_int = is_closed_source
 
 
-def tuple_of_values(u, parts) -> bool:
-    """fold's node rule for values: a tuple of values is one, an application or projection never."""
-    return type(u) is Tuple and all(parts)
+def decompose(t, is_leaf_value):
+    """(u, ctx) for the first redex or stuck leaf u of t in evaluation order, or None for a value.
+
+    The search keeps its own stack and goes right to left through the
+    parts of an application, projection or tuple, stopping at u, so it
+    never looks left of it. It enters no binder or bag: any other node
+    is a leaf, a value when is_leaf_value holds. ctx is the evaluation
+    context, the (node, child index) pairs from the root down to u.
+    """
+    ctx, u = [], t
+    while True:
+        tu = type(u)
+        if tu is App or tu is Proj or tu is Tuple and u.items:
+            k = 1 if tu is App else 0 if tu is Proj else len(u.items) - 1
+            ctx.append((u, k))
+            u = u.items[k] if tu is Tuple else u.arg
+            continue
+        if tu is not Tuple and not is_leaf_value(u):
+            return u, ctx
+        # u is a value: go left of it, past every parent whose parts are all values
+        while ctx and not ctx[-1][1]:
+            u = ctx.pop()[0]
+            if type(u) is not Tuple:
+                return u, ctx
+        if not ctx:
+            return None
+        u, k = ctx[-1]
+        ctx[-1] = u, k - 1
+        u = u.fn if type(u) is App else u.items[k - 1]
 
 
 def is_value_source(t: AnyTerm) -> bool:
     """Values are abstractions, closures whatever their bag, and tuples of values."""
-    return fold(t, lambda u: type(u) in (Abs, Closure, TClosure), tuple_of_values, {})
+    return decompose(t, lambda u: type(u) in (Abs, Closure, TClosure)) is None
 
 
 is_value_int = is_value_target = is_value_source

@@ -16,6 +16,8 @@ here (or in the tests) relies on that.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .calculi import subst_source_any
 from .terms import (
     Abs,
@@ -108,7 +110,7 @@ def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
         if type(bag) is VarBag:
             entries = bag.vars
         elif type(bag) is ValBag:
-            entries = tuple(fold(v, leaf, None, memo) for v in bag.vals)
+            entries = tuple(map(fold, bag.vals, repeat(leaf), repeat(None), repeat(memo)))
         else:
             raise TypeError(f"not an intermediate term: {u!r}")
         if len(entries) != len(u.wrapped):
@@ -152,7 +154,7 @@ def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
                 case Closure(w, p, body, VarBag(vs)):
                     new_bag = PVarBag(tuple(map(resolve, vs)))
                 case Closure(w, p, body, ValBag(vals)):
-                    new_bag = ValBag(tuple(fold(v, leaf) for v in vals))
+                    new_bag = ValBag(tuple(map(fold, vals, repeat(leaf))))
                 case _:
                     raise TypeError(f"not an intermediate term: {u!r}")
             return TClosure(len(w), len(p), fold(body, under(w, p)), new_bag)
@@ -218,7 +220,7 @@ def naming(
                         case PVarBag(ps):
                             new_bag = VarBag(tuple(map(resolve, ps)))
                         case ValBag(vals):
-                            new_bag = ValBag(tuple(fold(v, leaf, None, context) for v in vals))
+                            new_bag = ValBag(tuple(map(fold, vals, repeat(leaf), repeat(None), repeat(context))))
                         case _:
                             raise TypeError(f"not a target term: {u!r}")
                     body_leaf, body_context = under(zs, ws)

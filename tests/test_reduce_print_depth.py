@@ -1,13 +1,14 @@
 """Deep inputs through the stepper, the source substitution and the printers.
 
-The three interpreters decompose a term on a loop over one memoized
-`terms.fold`, the source substitution is a leaf rule over `fold`, and
-the printers are folds, so nesting outside binders costs them no Python
-frames. When each recursed through every node, the inputs below raised
-`RecursionError`: `normalize_source` on an argument spine 308 deep,
-`subst_source` on a tuple chain 604 deep and the printers on chains
-about 1,000 deep, and `tamc run` of a Church program whose result is a
-tuple nested 512 deep exited 2 ("input nested too deeply").
+The three interpreters find the redex with `terms.decompose`, one
+explicit-stack search, the source substitution is a leaf rule over
+`terms.fold`, and the printers are folds, so nesting outside binders
+costs them no Python frames. When each recursed through every node,
+the inputs below raised `RecursionError`: `normalize_source` on an
+argument spine 308 deep, `subst_source` on a tuple chain 604 deep and
+the printers on chains about 1,000 deep, and `tamc run` of a Church
+program whose result is a tuple nested 512 deep exited 2 ("input
+nested too deeply").
 
 No check below compares a deep term with `==`: dataclass equality still
 recurses.
