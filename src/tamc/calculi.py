@@ -240,9 +240,6 @@ def psubst_target(t: TargetTerm, lvals: tuple, svals: tuple) -> TargetTerm:
     return subst_bags(t, resolve)
 
 
-_VALUE = ValueOutcome()
-
-
 def _stepper(is_abs_value, apply_root):
     """Build a step function from the calculus-specific pieces.
 
@@ -257,14 +254,13 @@ def _stepper(is_abs_value, apply_root):
     def step(t):
         found = decompose(t, is_abs_value)
         if found is None:
-            return _VALUE
+            return ValueOutcome()
         u, ctx = found
         path = tuple(k for _, k in ctx)
         if type(u) is Proj:
-            arg = u.arg
-            if type(arg) is not Tuple or not 1 <= u.index <= len(arg.items):
+            if type(u.arg) is not Tuple or not 1 <= u.index <= len(u.arg.items):
                 return ClashOutcome(ClashKind.PROJECTION, path)
-            r = Stepped(StepLabel.PI, arg.items[u.index - 1])
+            r = Stepped(StepLabel.PI, u.arg.items[u.index - 1])
         elif type(u) is not App:
             return OpenStuckOutcome(u, path)
         elif type(u.fn) is Tuple:

@@ -161,6 +161,8 @@ def fold(t, leaf, node=None, memo=None):
     maps id(u) to (u, its result) for every node but a Var or PVar. Only
     the binder bodies and value bags that leaf folds cost Python frames.
     """
+    if memo is not None and id(t) in memo:
+        return memo[id(t)][1]
     todo, done = [t], []
     while todo:
         u = todo.pop()
@@ -375,14 +377,15 @@ def decompose(t, is_leaf_value):
 
     The search keeps its own stack and goes right to left through the
     parts of an application, projection or tuple, stopping at u, so it
-    never looks left of it. It enters no binder or bag: any other node
-    is a leaf, a value when is_leaf_value holds. ctx is the evaluation
-    context, the (node, child index) pairs from the root down to u.
+    never looks left of it. Any other node is a leaf, a value when
+    is_leaf_value holds; no binder, bag or tuple already proved a value
+    is entered. ctx is the evaluation context, the (node, child index)
+    pairs from the root down to u.
     """
-    ctx, u = [], t
+    ctx, u, values = [], t, set()
     while True:
         tu = type(u)
-        if tu is App or tu is Proj or tu is Tuple and u.items:
+        if tu is App or tu is Proj or tu is Tuple and u.items and id(u) not in values:
             k = 1 if tu is App else 0 if tu is Proj else len(u.items) - 1
             ctx.append((u, k))
             u = u.items[k] if tu is Tuple else u.arg
@@ -394,6 +397,7 @@ def decompose(t, is_leaf_value):
             u = ctx.pop()[0]
             if type(u) is not Tuple:
                 return u, ctx
+            values.add(id(u))
         if not ctx:
             return None
         u, k = ctx[-1]

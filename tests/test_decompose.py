@@ -6,14 +6,16 @@ binders, memoizing which were values, at every step and every test.
 projection or tuple and stops at the first redex or stuck leaf, so it
 never looks left of it. The fold it replaced is kept below as the
 value test's reference, and a counting leaf predicate shows where the
-search stops.
+search stops. A tuple proved a value is not entered again, so a value
+shared in a DAG costs its nodes, not its unfolded tree.
 """
 
 import pytest
 from test_free_vars_memo import FUEL, _programs
 
 from tamc import calculi
-from tamc.calculi import Stepped, ValueOutcome, step_int, step_source, step_target
+from tamc.analysis import family_tuple_explosion, tuple_explosion_nf_size
+from tamc.calculi import StepLabel, Stepped, ValueOutcome, normalize_source, step_int, step_source, step_target
 from tamc.syntax import parse
 from tamc.terms import (
     Abs,
@@ -32,6 +34,7 @@ from tamc.terms import (
     is_value_int,
     is_value_source,
     is_value_target,
+    shared_size_source,
 )
 from tamc.transforms import closure_convert, wrap
 
@@ -170,3 +173,54 @@ def test_one_step_never_looks_left_of_the_redex(n):
     assert type(r) is Stepped and r.term.items[0] is left and r.term.items[1] == UNIT
     # the redex's abstraction only, however long the tuple to its left
     assert calls[0] == 1
+
+
+def _shared_pairs(depth):
+    """V_0 = fun() -> <>, V_k = <V_(k-1), V_(k-1)>: depth + 1 nodes, 2**depth leaves unfolded."""
+    v = Abs((), UNIT)
+    for _ in range(depth):
+        v = Tuple((v, v))
+    return v
+
+
+def test_a_shared_value_is_proved_once():
+    v = _shared_pairs(60)
+    seen = []
+
+    def is_abs(u):
+        seen.append(u)
+        assert len(seen) <= 3, "a shared value is proved again"
+        return type(u) is Abs
+
+    assert decompose(v, is_abs) is None
+    # the one abstraction, from each side of the deepest pair
+    assert len(seen) == 2
+    assert is_value_source(v) and is_value_int(Tuple((v, v))) and not is_value_target(Tuple((X, v, v)))
+    seen.clear()
+    r = calculi._stepper(is_abs, calculi._source_root)(App(Abs((X,), X), Tuple((v,))))
+    # and then the function
+    assert type(r) is Stepped and r.term is v and len(seen) == 3
+
+
+ROOTS = {"source": calculi._source_root, "int": calculi._int_root, "target": calculi._target_root}
+
+
+@pytest.mark.parametrize("calculus", sorted(CALCULI))
+def test_the_tuple_explosion_normalizes_in_n_steps(calculus):
+    # substitution shares the argument, so after k steps the next one
+    # tests a value of 2**k leaves folded into k + 1 nodes
+    translate, _, _, leaf_type = CALCULI[calculus]
+    n = 40
+    calls = []
+
+    def is_leaf_value(u):
+        calls.append(u)
+        assert len(calls) <= 4 * n, "a shared value is proved again"
+        return type(u) is leaf_type
+
+    step = calculi._stepper(is_leaf_value, ROOTS[calculus])
+    r = calculi._normalize(step, translate(family_tuple_explosion(n)), 2 * n)
+    assert type(r.final) is ValueOutcome and r.labels == (StepLabel.BETA,) * n
+    if calculus == "source":
+        assert shared_size_source(r.term) == tuple_explosion_nf_size(n)
+        assert len(normalize_source(family_tuple_explosion(n)).labels) == n
