@@ -39,6 +39,7 @@ from .terms import (
     App,
     Closure,
     IntTerm,
+    Parts,
     PVar,
     PVarBag,
     TClosure,
@@ -245,17 +246,16 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
                 keys, m = range(1, u.n_wrapped + 1), u.n_params
             else:
                 raise TypeError(f"not an intermediate or target term: {u!r}")
+
+            def body(inner: dict) -> Parts:
+                return Parts((u.body,), under(inner), None if inner else memo, lambda b: 1 + m + b)
+
             match u.bag:
                 case ValBag(vals=vals):
-                    # a loop, not a comprehension: nested bags cost no extra frame
-                    inner = {}
-                    for k, v in zip(keys, vals):
-                        inner[k] = fold(v, top, node, memo)
+                    return Parts(vals, top, memo, lambda *rs: body(dict(zip(keys, rs))))
                 case VarBag(vars=vs) | PVarBag(pvars=vs):
-                    inner = {k: leaf(v) for k, v in zip(keys, vs)}
-                case _:
-                    raise TypeError(f"not an intermediate or target term: {u!r}")
-            return 1 + m + fold(u.body, under(inner), node, None if inner else memo)
+                    return body({k: leaf(v) for k, v in zip(keys, vs)})
+            raise TypeError(f"not an intermediate or target term: {u!r}")
 
         return leaf
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 from .terms import (
     Abs,
     App,
     Closure,
     IntTerm,
+    Parts,
     PVar,
     PVarBag,
     Proj,
@@ -136,7 +136,7 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
                         live[p] = Var(_fresh_name(p.name, avoid))
                         avoid.add(live[p].name)
                 params = tuple(live.get(p, p) for p in params)
-            return Abs(params, fold(body, under(live), None, {}))
+            return Parts((body,), under(live), {}, lambda body: Abs(params, body))
 
         return leaf
 
@@ -178,12 +178,9 @@ def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
             case Closure(w, p, body, bag) | TClosure(w, p, body, bag):
                 match bag:
                     case VarBag(vs) | PVarBag(vs):
-                        vals = tuple(map(resolve, vs))
+                        return type(u)(w, p, body, ValBag(tuple(map(resolve, vs))))
                     case ValBag(vs):
-                        vals = tuple(map(fold, vs, repeat(leaf)))
-                    case _:
-                        raise TypeError(f"not an intermediate or target term: {u!r}")
-                return type(u)(w, p, body, ValBag(vals))
+                        return Parts(vs, leaf, None, lambda *vals: type(u)(w, p, body, ValBag(vals)))
         raise TypeError(f"not an intermediate or target term: {u!r}")
 
     return fold(t, leaf)
@@ -300,6 +297,7 @@ def _int_root(fn: Closure, arg, path):
                     raise ValueError(f"ill-formed closure: {len(vals)} bag values for {len(w)} wrapped variables")
                 return Stepped(StepLabel.BETA, subst_int(fn.body, w, vals, p, arg.items))
             return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
+    raise TypeError(f"not an intermediate term: {fn!r}")
 
 
 def _target_root(fn: TClosure, arg, path):
@@ -314,6 +312,7 @@ def _target_root(fn: TClosure, arg, path):
                     raise ValueError(f"ill-formed closure: {len(vals)} bag values promised as {n}")
                 return Stepped(StepLabel.BETA, psubst_target(fn.body, vals, arg.items))
             return ClashOutcome(ClashKind.ABS_OR_CLOSURE, path)
+    raise TypeError(f"not a target term: {fn!r}")
 
 
 step_source = _stepper(lambda t: type(t) is Abs, _source_root)

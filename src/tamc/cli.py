@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except RecursionError:
-        # The parser, alpha equality, ==, hash and binder nesting recurse: deep input exhausts the stack.
+        # The parser, alpha_eq_source, and the terms' == and hash recurse: deep input exhausts the stack.
         where = getattr(args, "file", None)
         return _fail_usage(f"{where}: input nested too deeply" if where else "input nested too deeply")
     except MachineInvariantError as e:

@@ -42,7 +42,7 @@ from .machine_common import (
     lookup,
     run_loop,
 )
-from .terms import Abs, App, Proj, SourceTerm, Tuple, Var, fold, free_vars, reject_closures, shared_size_source
+from .terms import Abs, App, Parts, Proj, SourceTerm, Tuple, Var, fold, free_vars, reject_closures, shared_size_source
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,94 +163,76 @@ def step_stam(s: SState) -> Transition | MachineFinal:
     raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
 
 
-def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
-    """The source term of machine value v.
+def _readback(memo: dict):
+    """(read, subst), two folds whose leaf rules share the readback memo.
 
-    memo maps id(v) to (v, its read-back term) for every value read
-    back so far; holding v keeps its id from being reused, so one memo
-    can serve several readbacks. A closure's environment values and a
-    tuple's items are read back before the value itself, from an
-    explicit stack, so nesting depth costs no Python frames.
+    read(v) is the source term of machine value v, a leaf whose parts are
+    its items, or its abstraction under its environment; memo maps id(v)
+    to (v, its term), and holding v keeps its id from being reused.
+    subst(t, env) resolves env's bindings in t, innermost first, in one
+    shadow-aware pass, since values in environments are closed once read
+    back; an empty env leaves t, which the closure invariant makes closed.
     """
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(v))
-    if hit is not None:
-        return hit[1]
-    todo = [v]
-    while todo:
-        u = todo[-1]
-        if id(u) in memo:
-            todo.pop()
-            continue
+
+    def value(u):
+        if type(u) is STup:
+            return Parts(u.items, value, memo, lambda *items: Tuple(items))
         if type(u) is SClos:
-            unread = [val for _, val in u.env if id(val) not in memo]
-        elif type(u) is STup:
-            unread = [p for p in u.items if id(p) not in memo]
-        else:
-            raise MachineInvariantError(f"not a machine value: {u!r}")
-        if unread:
-            todo += unread
-        elif type(u) is SClos:
-            memo[id(u)] = (u, _env_subst(u.abs, u.env, memo))
-        else:
-            memo[id(u)] = (u, Tuple(tuple(memo[id(p)][1] for p in u.items)))
-    return memo[id(v)][1]
+            return under(u.env, frozenset())(u.abs) if u.env else u.abs
+        raise MachineInvariantError(f"not a machine value: {u!r}")
 
-
-def _env_subst(t: SourceTerm, env: tuple, memo: dict) -> SourceTerm:
-    """Resolve env bindings inside t, innermost binding first.
-
-    Values in environments are closed once read back, so a single
-    shadow-aware pass agrees with applying the bindings one at a time.
-    An empty env leaves t itself: by the closure invariant t is closed.
-    """
-
-    def under(shadow: frozenset):
+    def under(env: tuple, shadow: frozenset):
         def leaf(u):
             if type(u) is Var:
                 if u.name in shadow:
                     return u
-                return readback_value(lookup(env, u)[0], memo)
+                v = lookup(env, u)[0]
+                hit = memo.get(id(v))  # a value read back before is not requested again
+                return Parts((v,), value, memo, lambda term: term) if hit is None else hit[1]
             if type(u) is Abs:
-                return Abs(u.params, fold(u.body, under(shadow | {p.name for p in u.params})))
+                inner = under(env, shadow | {p.name for p in u.params})
+                return Parts((u.body,), inner, None, lambda body: Abs(u.params, body))
             raise MachineInvariantError(f"not a source term: {u!r}")
 
         return leaf
 
-    if not env:
-        return t
-    return fold(t, under(frozenset()))
+    def read(v: SValue) -> SourceTerm:
+        return fold(v, value, None, memo)
+
+    def subst(t: SourceTerm, env: tuple) -> SourceTerm:
+        return fold(t, under(env, frozenset())) if env else t
+
+    return read, subst
+
+
+def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
+    """The source term of machine value v; memo as in readback_stam."""
+    return _readback({} if memo is None else memo)[0](v)
 
 
 def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
     """The term that state s stands for.
 
-    memo is the readback_value memo; pass one dict to every readback
-    of one run to reuse the values read back before. Without one each
+    memo is the readback memo; pass one dict to every readback of one
+    run to reuse the values read back before. Without one each
     readback starts afresh.
     """
-    if memo is None:
-        memo = {}
+    read, subst = _readback({} if memo is None else memo)
     f = s.focus
     if isinstance(f, Unev):
-        term = _env_subst(f.term, f.env, memo)
+        term = subst(f.term, f.env)
     else:
-        term = readback_value(f, memo)
+        term = read(f)
     for entry in reversed(s.stack):
         match entry:
             case PendingFn(term=t, env=env):
-                term = App(_env_subst(t, env, memo), term)
+                term = App(subst(t, env), term)
             case ArgVal(value=v):
-                term = App(term, readback_value(v, memo))
+                term = App(term, read(v))
             case ProjFrame(index=i):
                 term = Proj(i, term)
             case PartialTuple(pending=pending, env=env, done=done):
-                items = (
-                    tuple(_env_subst(p, env, memo) for p in pending)
-                    + (term,)
-                    + tuple(readback_value(d, memo) for d in done)
-                )
+                items = tuple(subst(p, env) for p in pending) + (term,) + tuple(map(read, done))
                 term = Tuple(items)
             case _:
                 raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")

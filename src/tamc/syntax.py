@@ -26,6 +26,7 @@ from .terms import (
     Abs,
     App,
     Closure,
+    Parts,
     PVar,
     PVarBag,
     Proj,
@@ -185,53 +186,40 @@ def _node(u, parts) -> str:
     return f"{fn} {arg}"
 
 
-def _print(t, other) -> str:
-    """Print t; other(u, leaf) prints any leaf but a variable or abstraction."""
+def _print(t, calculus: str, kinds: tuple) -> str:
+    """Print t, a term of calculus whose leaves are all of kinds."""
 
-    def leaf(u) -> str:
-        if type(u) is Var:
+    def leaf(u):
+        tu = type(u)
+        if tu not in kinds:
+            raise TypeError(f"not {calculus} term: {u!r}")
+        if tu is Var:
             return u.name
-        if type(u) is Abs:
+        if tu is PVar:
+            return f"pi{u.index} {u.base}"
+        if tu is Abs:
             ps = ", ".join(p.name for p in u.params)
-            return f"fun({ps}) -> {fold(u.body, leaf, _node)}"
-        return other(u, leaf)
+            return Parts((u.body,), leaf, None, lambda body: f"fun({ps}) -> {body}")
+        if tu is Closure:
+            ws, ps = (", ".join(v.name for v in vs) for vs in (u.wrapped, u.params))
+            head = f"({ws}); ({ps}). "
+        else:
+            head = f"^{{{u.n_wrapped},{u.n_params}}} "
+        match u.bag:
+            case VarBag(vs) | PVarBag(vs) | ValBag(vs):
+                return Parts((*vs, u.body), leaf, None, lambda *rs: f"[{head}{rs[-1]}]<{', '.join(rs[:-1])}>")
+        raise TypeError(f"not a bag: {u.bag!r}")
 
     return fold(t, leaf, _node)
 
 
 def print_source(t) -> str:
-    def other(u, leaf):
-        raise TypeError(f"not a source term: {u!r}")
-
-    return _print(t, other)
-
-
-def _print_bag(bag, leaf) -> str:
-    match bag:
-        case VarBag(vs) | PVarBag(vs) | ValBag(vs):
-            return "<" + ", ".join(fold(v, leaf, _node) for v in vs) + ">"
-    raise TypeError(f"not a bag: {bag!r}")
+    return _print(t, "a source", (Var, Abs))
 
 
 def print_int(t) -> str:
-    def other(u, leaf):
-        match u:
-            case Closure(wrapped, params, body, bag):
-                ws = ", ".join(v.name for v in wrapped)
-                ps = ", ".join(v.name for v in params)
-                return f"[({ws}); ({ps}). {fold(body, leaf, _node)}]{_print_bag(bag, leaf)}"
-        raise TypeError(f"not an intermediate term: {u!r}")
-
-    return _print(t, other)
+    return _print(t, "an intermediate", (Var, Abs, Closure))
 
 
 def print_target(t) -> str:
-    def other(u, leaf):
-        match u:
-            case PVar(base, i):
-                return f"pi{i} {base}"
-            case TClosure(n, m, body, bag):
-                return f"[^{{{n},{m}}} {fold(body, leaf, _node)}]{_print_bag(bag, leaf)}"
-        raise TypeError(f"not a target term: {u!r}")
-
-    return _print(t, other)
+    return _print(t, "a target", (Var, Abs, PVar, TClosure))

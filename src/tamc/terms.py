@@ -18,8 +18,8 @@ nothing. Projection indices are 1-based throughout.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
 from operator import is_
 
 
@@ -146,53 +146,76 @@ class TermMetrics:
     height: int
 
 
-_BUILD = object()  # on fold's stack, marks a node whose parts are done
+@dataclass(slots=True)
+class Parts:
+    """A leaf rule's answer: fold terms under leaf and memo, then build(*their results)."""
+
+    terms: tuple
+    leaf: Callable
+    memo: dict | None
+    build: Callable
+
+
+_BUILD = object()  # on fold's stack, marks an entry whose parts are done
 
 
 def fold(t, leaf, node=None, memo=None):
-    """Fold t bottom-up on an explicit stack, its parts before it.
+    """Fold t bottom-up on one explicit stack, its parts before it.
 
-    Applications, projections and tuples are walked here; every other
-    node (a variable, abstraction or closure) goes to leaf(u), in
-    left-to-right pre-order, and leaf folds binder bodies and value bags
-    itself. Without node, an application, projection or tuple is rebuilt
-    from its parts' results, or is itself the result when no part
-    changed; with node, its result is node(u, parts). memo, when given,
-    maps id(u) to (u, its result) for every node but a Var or PVar. Only
-    the binder bodies and value bags that leaf folds cost Python frames.
+    Applications, projections and tuples are walked here and rebuilt from
+    their parts' results (themselves when no part changed), or given to
+    node(u, parts) when node is given; every other node goes to leaf(u),
+    in left-to-right pre-order. memo, when given, maps id(u) to (u, its
+    result) for every node but a Var or PVar; a node found there is
+    skipped. leaf does not fold a binder body or a bag entry itself: it
+    answers Parts, whose terms are folded next, in order, under the
+    Parts' own leaf rule and memo (with the same node rule), and whose
+    build(*their results) gives the node's result or a further Parts.
+    The result is memoized in the memo of the context that asked. No
+    nesting costs a Python frame.
     """
     if memo is not None and id(t) in memo:
         return memo[id(t)][1]
     todo, done = [t], []
     while todo:
         u = todo.pop()
-        tu = type(u)
         if u is _BUILD:
             u = todo.pop()
             tu = type(u)
-            k = len(done) - (2 if tu is App else 1 if tu is Proj else len(u.items))
-            parts = done[k:]
+            if tu is list:  # a leaf's parts are done: build, back in the context that asked
+                u, leaf, memo, r = u
+                tu = type(u)
+                k = len(done) - len(r.terms)
+                r = r.build(*done[k:])
+            else:  # an application, projection or tuple whose parts are done
+                k = len(done) - (2 if tu is App else 1 if tu is Proj else len(u.items))
+                parts = done[k:]
+                if node is not None:
+                    r = node(u, parts)
+                elif tu is App:
+                    r = u if parts[0] is u.fn and parts[1] is u.arg else App(*parts)
+                elif tu is Proj:
+                    r = u if parts[0] is u.arg else Proj(u.index, *parts)
+                else:
+                    r = u if all(map(is_, parts, u.items)) else Tuple(tuple(parts))
             del done[k:]
-            if node is not None:
-                r = node(u, parts)
-            elif tu is App:
-                r = u if parts[0] is u.fn and parts[1] is u.arg else App(*parts)
-            elif tu is Proj:
-                r = u if parts[0] is u.arg else Proj(u.index, *parts)
-            else:
-                r = u if all(map(is_, parts, u.items)) else Tuple(tuple(parts))
-        elif memo is not None and id(u) in memo:
-            done.append(memo[id(u)][1])
-            continue
-        elif tu is App or tu is Proj or tu is Tuple:
-            todo += (u, _BUILD)
-            todo += (u.arg, u.fn) if tu is App else (u.arg,) if tu is Proj else reversed(u.items)
-            continue
         else:
+            tu = type(u)
+            if memo is not None and id(u) in memo:
+                done.append(memo[id(u)][1])
+                continue
+            if tu is App or tu is Proj or tu is Tuple:
+                todo += (u, _BUILD)
+                todo += (u.arg, u.fn) if tu is App else (u.arg,) if tu is Proj else reversed(u.items)
+                continue
             r = leaf(u)
-        if memo is not None and tu is not Var and tu is not PVar:
-            memo[id(u)] = (u, r)
-        done.append(r)
+        if type(r) is Parts:  # its terms next, the first on top, under its leaf rule and memo
+            todo += ([u, leaf, memo, r], _BUILD, *reversed(r.terms))
+            leaf, memo = r.leaf, r.memo
+        else:
+            if memo is not None and tu is not Var and tu is not PVar:
+                memo[id(u)] = (u, r)
+            done.append(r)
     return done[0]
 
 
@@ -216,9 +239,8 @@ def metrics(t: SourceTerm) -> TermMetrics:
         if type(u) is Var:
             return 1, 0, 0
         if type(u) is Abs:
-            s, w, h = fold(u.body, leaf, node, memo)
             k = len(u.params)
-            return s + k + 1, max(w, k), h + k
+            return Parts((u.body,), leaf, memo, lambda body: (body[0] + k + 1, max(body[1], k), body[2] + k))
         raise TypeError(f"not a source term: {u!r}")
 
     def node(u, parts) -> tuple[int, int, int]:
@@ -340,16 +362,16 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
         if tu is Var:
             return (u,)
         if tu is Abs:
-            return _unbound(fold(u.body, leaf, _merge_parts, memo), u.params)
+            return Parts((u.body,), leaf, memo, lambda body: _unbound(body, u.params))
         bag = u.bag if tu is Closure else None
         if type(bag) is VarBag:
             # a malformed bag may repeat a variable
-            outer = _merge([(v,) for v in bag.vars])
+            outer, terms = [(v,) for v in bag.vars], (u.body,)
         elif type(bag) is ValBag:
-            outer = _merge(list(map(fold, bag.vals, repeat(leaf), repeat(_merge_parts), repeat(memo))))
+            outer, terms = [], (*bag.vals, u.body)
         else:
             raise TypeError(f"term has no named variables: {u!r}")
-        return _merge((_unbound(fold(u.body, leaf, _merge_parts, memo), u.wrapped + u.params), outer))
+        return Parts(terms, leaf, memo, lambda *rs: _merge((_unbound(rs[-1], u.wrapped + u.params), *outer, *rs[:-1])))
 
     return fold(t, leaf, _merge_parts, memo)
 

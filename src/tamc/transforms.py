@@ -16,13 +16,12 @@ here (or in the tests) relies on that.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .calculi import subst_source_any
 from .terms import (
     Abs,
     Closure,
     IntTerm,
+    Parts,
     PVar,
     PVarBag,
     SourceTerm,
@@ -78,7 +77,7 @@ def wrap(t: SourceTerm) -> IntTerm:
             return u
         if type(u) is Abs:
             ys = free_vars(u, memo)
-            return Closure(ys, u.params, fold(u.body, leaf), VarBag(ys))
+            return Parts((u.body,), leaf, None, lambda body: Closure(ys, u.params, body, VarBag(ys)))
         raise TypeError(f"not a source term: {u!r}")
 
     return fold(t, leaf)
@@ -108,17 +107,22 @@ def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
             return u
         bag = u.bag if type(u) is Closure else None
         if type(bag) is VarBag:
-            entries = bag.vars
+            entries, vals = bag.vars, ()
         elif type(bag) is ValBag:
-            entries = tuple(map(fold, bag.vals, repeat(leaf), repeat(None), repeat(memo)))
+            entries = vals = bag.vals
         else:
             raise TypeError(f"not an intermediate term: {u!r}")
         if len(entries) != len(u.wrapped):
             raise ValueError(
                 f"closure bag has {len(entries)} entries for {len(u.wrapped)} wrapped variables"
             )
-        out = Abs(u.params, fold(u.body, leaf, None, memo))
-        return out if entries == u.wrapped else subst_source_any(out, dict(zip(u.wrapped, entries)))
+
+        def build(*rs):
+            out = Abs(u.params, rs[-1])
+            new = rs[:-1] if vals else entries  # the unwrapped values, or the bag's variables
+            return out if new == u.wrapped else subst_source_any(out, dict(zip(u.wrapped, new)))
+
+        return Parts((*vals, u.body), leaf, memo, build)
 
     return fold(t, leaf, None, memo)
 
@@ -153,11 +157,13 @@ def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
                     return resolve(u)
                 case Closure(w, p, body, VarBag(vs)):
                     new_bag = PVarBag(tuple(map(resolve, vs)))
+                    return Parts((body,), under(w, p), None, lambda b: TClosure(len(w), len(p), b, new_bag))
                 case Closure(w, p, body, ValBag(vals)):
-                    new_bag = ValBag(tuple(map(fold, vals, repeat(leaf))))
-                case _:
-                    raise TypeError(f"not an intermediate term: {u!r}")
-            return TClosure(len(w), len(p), fold(body, under(w, p)), new_bag)
+                    inner = under(w, p)  # the bag's values first, then the body under the closure's lists
+                    return Parts(vals, leaf, None, lambda *vs: Parts(
+                        (body,), inner, None, lambda b: TClosure(len(w), len(p), b, ValBag(vs))
+                    ))
+            raise TypeError(f"not an intermediate term: {u!r}")
 
         return leaf
 
@@ -216,15 +222,16 @@ def naming(
                         if memo is not None:
                             memo[id(body)] = names
                     _, zs, ws = names
+                    inner, inner_context = under(zs, ws)
                     match bag:
                         case PVarBag(ps):
                             new_bag = VarBag(tuple(map(resolve, ps)))
+                            return Parts((body,), inner, inner_context, lambda b: Closure(zs, ws, b, new_bag))
                         case ValBag(vals):
-                            new_bag = ValBag(tuple(map(fold, vals, repeat(leaf), repeat(None), repeat(context))))
-                        case _:
-                            raise TypeError(f"not a target term: {u!r}")
-                    body_leaf, body_context = under(zs, ws)
-                    return Closure(zs, ws, fold(body, body_leaf, None, body_context), new_bag)
+                            # the bag's values first, then the body under the minted names
+                            return Parts(vals, leaf, context, lambda *vs: Parts(
+                                (body,), inner, inner_context, lambda b: Closure(zs, ws, b, ValBag(vs))
+                            ))
             raise TypeError(f"not a target term: {u!r}")
 
         return leaf, context

@@ -308,3 +308,19 @@ def test_target_beta_rejects_a_closure_one_bag_value_short():
     with pytest.raises(ValueError) as e:
         step_target(Tuple((App(short, Tuple(())),)))
     assert str(e.value) == "ill-formed closure: 0 bag values promised as 1"
+
+
+@pytest.mark.parametrize(
+    "step, t",
+    [
+        (step_int, App(Closure((), (), Tuple(()), PVarBag((PVar("l", 1),))), Tuple(()))),
+        (step_target, App(TClosure(1, 0, Tuple(()), VarBag((Var("a"),))), Tuple(()))),
+    ],
+    ids=["int", "target"],
+)
+def test_a_closure_whose_bag_belongs_to_the_other_calculus_is_a_type_error(step, t):
+    # the bag's own calculus has its open-term outcome; another calculus's bag is no term of this one
+    with pytest.raises(TypeError):
+        step(t)
+    with pytest.raises(TypeError):
+        (normalize_int if step is step_int else normalize_target)(t)

@@ -6,8 +6,8 @@ family instance nested a few hundred deep overflowed the interpreter
 stack there, from about n = 250, while the source machine ran on. They
 now walk with an explicit stack, so every machine runs both families
 at n = 275 and the int and target results unfold to the closed-form
-normal-form size. The translations and `free_vars` still recurse, so
-all three machines stop together somewhat above that.
+normal-form size. The translations and `free_vars` no longer recurse
+either (tests/test_fold_depth.py and tests/test_bag_depth.py go deeper).
 """
 
 import pytest

@@ -1,10 +1,11 @@
 """Deep inputs through the passes built on `terms.fold`.
 
-`fold` walks applications, projections and tuples on its own stack, so
-only binder bodies and value bags cost Python frames, two per level.
-When the translations, `free_vars`, `metrics`, the substitutions, the
-source readback and the unfolded size recursed through every node,
-each input below raised `RecursionError`: the explosion families from
+`fold` walks applications, projections and tuples on its own stack, and
+takes the binder bodies and value bags of the leaf rules' `Parts` onto
+it too, so nesting costs no Python frames. When the translations,
+`free_vars`, `metrics`, the substitutions, the source readback and the
+unfolded size recursed through every node, each input below raised
+`RecursionError`: the explosion families from
 about n = 320 (the source readback of the function explosion from
 n = 125), `closure_convert(quadratic_driver(n))` from n = 256, a
 left-nested application spine from 1,600 variables and a tuple chain a
@@ -44,7 +45,7 @@ def test_every_machine_runs_and_reads_back_a_deep_tuple_explosion(machine):
 
 @pytest.mark.parametrize("machine", ["int", "target"])
 def test_int_and_target_run_and_size_a_deep_function_explosion(machine):
-    # bag nesting still costs two frames per level, so this stays below ~490
+    # tests/test_bag_depth.py reads these results 1,000 deep
     out = _run(machine, family_fun_explosion(400))
     assert unfolded_size_from_int(out) == fun_explosion_nf_size(400)
 
