@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .terms import (
     Abs,
@@ -101,6 +102,33 @@ def _fresh_name(base: str, avoid: set) -> str:
     return f"{base}_{k}"
 
 
+def _free_names(fv_memo: dict, u) -> set:
+    return {v.name for v in free_vars(u, fv_memo)}
+
+
+def _subst_under(fv_memo: dict, mp: dict, u):
+    """subst_source_any's leaf rule for mapping mp, fv_memo its free-variable memo."""
+    if type(u) is Var:
+        return mp.get(u, u)
+    if type(u) is not Abs:
+        raise TypeError(f"not a source term: {u!r}")
+    params, body = u.params, u.body
+    body_names = _free_names(fv_memo, body)
+    live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
+    if not live:
+        return u
+    repl_names = set().union(*(_free_names(fv_memo, r) for r in live.values()))
+    if any(p.name in repl_names for p in params):
+        # a capturing param is renamed in the body too: live binds no param
+        avoid = repl_names | body_names | {p.name for p in params}
+        for p in params:
+            if p.name in repl_names:
+                live[p] = Var(_fresh_name(p.name, avoid))
+                avoid.add(live[p].name)
+        params = tuple(live.get(p, p) for p in params)
+    return Parts((body,), partial(_subst_under, fv_memo, live), {}, lambda body: Abs(params, body))
+
+
 def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
     """Capture-avoiding simultaneous substitution, replacements arbitrary.
 
@@ -112,35 +140,7 @@ def subst_source_any(t: SourceTerm, mapping: dict) -> SourceTerm:
     if not mapping:
         return t
     memo: dict = {}  # free_vars memo shared by the whole substitution
-
-    def names(u) -> set:
-        return {v.name for v in free_vars(u, memo)}
-
-    def under(mp: dict):
-        def leaf(u):
-            if type(u) is Var:
-                return mp.get(u, u)
-            if type(u) is not Abs:
-                raise TypeError(f"not a source term: {u!r}")
-            params, body = u.params, u.body
-            body_names = names(body)
-            live = {v: r for v, r in mp.items() if v not in params and v.name in body_names}
-            if not live:
-                return u
-            repl_names = set().union(*(names(r) for r in live.values()))
-            if any(p.name in repl_names for p in params):
-                # a capturing param is renamed in the body too: live binds no param
-                avoid = repl_names | body_names | {p.name for p in params}
-                for p in params:
-                    if p.name in repl_names:
-                        live[p] = Var(_fresh_name(p.name, avoid))
-                        avoid.add(live[p].name)
-                params = tuple(live.get(p, p) for p in params)
-            return Parts((body,), under(live), {}, lambda body: Abs(params, body))
-
-        return leaf
-
-    out = fold(t, under(mapping), None, {})
+    out = fold(t, partial(_subst_under, memo, mapping), None, {})
     # the leaf rejects a foreign node outside binders and reads the free
     # variables of every abstraction body it meets; walking each
     # replacement as well puts every other node of both in the memo.
@@ -160,14 +160,16 @@ def subst_source(t: SourceTerm, params: tuple, vals: tuple) -> SourceTerm:
     return subst_source_any(t, mapping)
 
 
-def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
+def subst_bags(t: IntTerm | TargetTerm, resolve, memo: dict | None = None) -> IntTerm | TargetTerm:
     """Resolve every variable outside closure bodies to a value.
 
     resolve(v) gives the value of variable v. Closure bodies are never
     entered, only their bags are rewritten: a variable bag becomes the
     value bag of its resolved entries. So no capture can occur. Beta in
     both calculi substitutes through it, and so does the stacked
-    machine's readback, with the environment's own lookup.
+    machine's readback, with the environment's own lookup. memo is the
+    fold memo, which a caller may share across substitutions under one
+    resolve.
     """
 
     def leaf(u):
@@ -180,10 +182,10 @@ def subst_bags(t: IntTerm | TargetTerm, resolve) -> IntTerm | TargetTerm:
                     case VarBag(vs) | PVarBag(vs):
                         return type(u)(w, p, body, ValBag(tuple(map(resolve, vs))))
                     case ValBag(vs):
-                        return Parts(vs, leaf, None, lambda *vals: type(u)(w, p, body, ValBag(vals)))
+                        return Parts(vs, None, None, lambda *vals: type(u)(w, p, body, ValBag(vals)))
         raise TypeError(f"not an intermediate or target term: {u!r}")
 
-    return fold(t, leaf)
+    return fold(t, leaf, None, memo)
 
 
 def subst_int(

@@ -27,6 +27,7 @@ machine values SClos and STup stay dataclasses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .calculi import DEFAULT_FUEL, ClashKind
@@ -163,79 +164,122 @@ def step_stam(s: SState) -> Transition | MachineFinal:
     raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
 
 
-def _readback(memo: dict):
-    """(read, subst), two folds whose leaf rules share the readback memo.
+_TOP = frozenset()  # no name shadowed: the top of a term under an environment
 
-    read(v) is the source term of machine value v, a leaf whose parts are
-    its items, or its abstraction under its environment; memo maps id(v)
-    to (v, its term), and holding v keeps its id from being reused.
-    subst(t, env) resolves env's bindings in t, innermost first, in one
-    shadow-aware pass, since values in environments are closed once read
-    back; an empty env leaves t, which the closure invariant makes closed.
+
+def _same(term):
+    return term
+
+
+def _value(memo: dict, scopes: dict | None, u):
+    """The leaf rule of machine values, with _read's memo and scopes."""
+    if type(u) is STup:
+        return Parts(u.items, None, memo, lambda *items: Tuple(items))
+    if type(u) is SClos:
+        if not u.env:
+            return u.abs
+        return Parts((u.abs,), partial(_under, memo, scopes, u.env, _TOP), _scope(scopes, u.env), _same)
+    raise MachineInvariantError(f"not a machine value: {u!r}")
+
+
+def _under(memo: dict, scopes: dict | None, env: tuple, shadow: frozenset, u):
+    """The leaf rule of substitution under env, the names in shadow bound above u."""
+    if type(u) is Var:
+        if u.name in shadow:
+            return u
+        v = lookup(env, u)[0]
+        hit = memo.get(id(v))  # a value read back before is not requested again
+        return Parts((v,), partial(_value, memo, scopes), memo, _same) if hit is None else hit[1]
+    if type(u) is Abs:
+        inner = partial(_under, memo, scopes, env, shadow | {p.name for p in u.params})
+        return Parts((u.body,), inner, None, lambda body: Abs(u.params, body))
+    raise MachineInvariantError(f"not a source term: {u!r}")
+
+
+def _scope(scopes: dict | None, env: tuple) -> dict | None:
+    """The fold memo of the substitutions under env, or None without scopes."""
+    if scopes is None:
+        return None
+    scope = scopes.get(id(env))
+    if scope is None:
+        scope = scopes[id(env)] = (env, {})
+    return scope[1]
+
+
+def _read(memo: dict, scopes: dict | None, v: SValue) -> SourceTerm:
+    """The source term of machine value v.
+
+    memo maps id(v) to (v, its term) for every value read back, and
+    holding v keeps its id from being reused. scopes, when given, maps
+    id(env) to (env, the fold memo of the substitutions under env),
+    which values closed under env share; without it every substitution
+    starts afresh.
     """
+    hit = memo.get(id(v))
+    return hit[1] if hit is not None else fold(v, partial(_value, memo, scopes), None, memo)
 
-    def value(u):
-        if type(u) is STup:
-            return Parts(u.items, value, memo, lambda *items: Tuple(items))
-        if type(u) is SClos:
-            return under(u.env, frozenset())(u.abs) if u.env else u.abs
-        raise MachineInvariantError(f"not a machine value: {u!r}")
 
-    def under(env: tuple, shadow: frozenset):
-        def leaf(u):
-            if type(u) is Var:
-                if u.name in shadow:
-                    return u
-                v = lookup(env, u)[0]
-                hit = memo.get(id(v))  # a value read back before is not requested again
-                return Parts((v,), value, memo, lambda term: term) if hit is None else hit[1]
-            if type(u) is Abs:
-                inner = under(env, shadow | {p.name for p in u.params})
-                return Parts((u.body,), inner, None, lambda body: Abs(u.params, body))
-            raise MachineInvariantError(f"not a source term: {u!r}")
+def _subst(memo: dict, scopes: dict | None, t: SourceTerm, env: tuple) -> SourceTerm:
+    """t with env's bindings resolved, innermost first, in one shadow-aware pass.
 
-        return leaf
-
-    def read(v: SValue) -> SourceTerm:
-        return fold(v, value, None, memo)
-
-    def subst(t: SourceTerm, env: tuple) -> SourceTerm:
-        return fold(t, under(env, frozenset())) if env else t
-
-    return read, subst
+    Values in environments are closed once read back, and an empty env
+    leaves t, which the closure invariant makes closed. With scopes, a
+    term substituted under env before is a hit and a variable resolves
+    directly.
+    """
+    if not env:
+        return t
+    if scopes is not None and type(t) is Var:
+        return _read(memo, scopes, lookup(env, t)[0])
+    scope = _scope(scopes, env)
+    if scope is not None and id(t) in scope:
+        return scope[id(t)][1]
+    return fold(t, partial(_under, memo, scopes, env, _TOP), None, scope)
 
 
 def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
     """The source term of machine value v; memo as in readback_stam."""
-    return _readback({} if memo is None else memo)[0](v)
+    return _read({}, None, v) if memo is None else _read(memo, memo, v)
 
 
 def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
     """The term that state s stands for.
 
     memo is the readback memo; pass one dict to every readback of one
-    run to reuse the values read back before. Without one each
-    readback starts afresh.
+    run to reuse what earlier readbacks built. id(v) maps to (v, its
+    term) for every machine value read back, and id(env) to (env, the
+    fold memo of the substitutions under env), so the body of an
+    activation is substituted once, at the first readback under its
+    environment, and every later focus, pending term or closure under
+    that environment is a hit; no object is both a value and an
+    environment. Each entry holds its keyed object, so no id is reused
+    while the memo lives. Without a memo each readback starts afresh,
+    reading each value once and substituting each term in full.
     """
-    read, subst = _readback({} if memo is None else memo)
+    scopes = memo
+    if memo is None:
+        memo = {}
     f = s.focus
-    if isinstance(f, Unev):
-        term = subst(f.term, f.env)
+    if type(f) is Unev:
+        term = _subst(memo, scopes, f.term, f.env)
     else:
-        term = read(f)
+        term = _read(memo, scopes, f)
     for entry in reversed(s.stack):
-        match entry:
-            case PendingFn(term=t, env=env):
-                term = App(subst(t, env), term)
-            case ArgVal(value=v):
-                term = App(term, read(v))
-            case ProjFrame(index=i):
-                term = Proj(i, term)
-            case PartialTuple(pending=pending, env=env, done=done):
-                items = tuple(subst(p, env) for p in pending) + (term,) + tuple(map(read, done))
-                term = Tuple(items)
-            case _:
-                raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
+        te = type(entry)
+        if te is PendingFn:
+            term = App(_subst(memo, scopes, entry.term, entry.env), term)
+        elif te is ArgVal:
+            term = App(term, _read(memo, scopes, entry.value))
+        elif te is ProjFrame:
+            term = Proj(entry.index, term)
+        elif te is PartialTuple:
+            env = entry.env
+            items = [_subst(memo, scopes, p, env) for p in entry.pending]
+            items.append(term)
+            items += [_read(memo, scopes, v) for v in entry.done]
+            term = Tuple(tuple(items))
+        else:
+            raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
     return term
 
 

@@ -30,6 +30,8 @@ compares them.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .calculi import DEFAULT_FUEL, ClashKind, subst_bags
@@ -96,10 +98,21 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
             raise ValueError("initial term must have variable bags only")
         return State(Unev(t), empty, (), ())
 
-    def substitute(t, env):
+    def substitute(memo, t, env):
+        """t with env's bindings resolved; memo as in readback, or None to substitute afresh."""
         if env == empty:
             return t
-        return subst_bags(t, lambda v: resolve(env, v)[0])
+        scope = None  # env's fold memo
+        if memo is not None:
+            if type(t) is Var or type(t) is PVar:
+                return resolve(env, t)[0]
+            entry = memo.get(id(env))
+            if entry is None:
+                entry = memo[id(env)] = (env, {})
+            scope = entry[1]
+            if id(t) in scope:
+                return scope[id(t)][1]
+        return subst_bags(t, lambda v: resolve(env, v)[0], scope)
 
     def step(s: State) -> Transition | MachineFinal:
         f, env, cstack, astack = s
@@ -215,18 +228,17 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
 
     def _plug(term, cstack: tuple, env, sub):
         for entry in reversed(cstack):
-            match entry:
-                case PendingFn(term=t):
-                    term = App(sub(t, env), term)
-                case ArgVal(value=v):
-                    term = App(term, v)
-                case ProjFrame(index=i):
-                    term = Proj(i, term)
-                case PartialTuple(pending=pending, done=done):
-                    items = tuple(sub(p, env) for p in pending) + (term,) + done
-                    term = Tuple(items)
-                case _:
-                    raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
+            te = type(entry)
+            if te is PendingFn:
+                term = App(sub(entry.term, env), term)
+            elif te is ArgVal:
+                term = App(term, entry.value)
+            elif te is ProjFrame:
+                term = Proj(entry.index, term)
+            elif te is PartialTuple:
+                term = Tuple(tuple([sub(p, env) for p in entry.pending]) + (term,) + entry.done)
+            else:
+                raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
         return term
 
     def readback(s: State, memo: dict | None = None):
@@ -234,36 +246,29 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
 
         memo, when given, is a dict that one caller passes to every
         readback of one run, and lets a readback reuse what earlier
-        ones built: (id(term), id(env)) maps to (term, env,
-        substitute(term, env)), and id(astack) maps to (astack, its
-        frames with a non-empty control stack, innermost first).
-        Holding the keyed objects keeps their ids from being reused
-        while the memo lives; terms, environments and stacks are
-        immutable and substitute is pure, so a hit is what recomputing
-        would give. Without a memo nothing is reused.
+        ones built. id(env) maps to (env, the fold memo of the
+        substitutions under env), so the body of an activation is
+        substituted once, at the first readback under its environment,
+        and every later focus or pending term under that environment is
+        a hit; a variable resolves directly. id(astack) maps to (astack,
+        its frames with a non-empty control stack, innermost first); no
+        object is both an environment and a stack. Holding the keyed
+        objects keeps their ids from being reused while the memo lives;
+        terms, environments and stacks are immutable and substitution
+        is pure and does not depend on where a term sits, so a hit is
+        what recomputing would give. Without a memo nothing is reused.
         """
+        sub = partial(substitute, memo)
         if memo is None:
-            sub = substitute
             frames = reversed(s.astack)
         else:
-
-            def sub(t, env):
-                key = (id(t), id(env))
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = (t, env, substitute(t, env))
-                return hit[2]
-
             hit = memo.get(id(s.astack))
             if hit is None:
-                live = [frame for frame in reversed(s.astack) if frame[0]]
-                hit = memo[id(s.astack)] = (s.astack, live)
+                hit = memo[id(s.astack)] = (s.astack, list(filter(itemgetter(0), reversed(s.astack))))
             frames = hit[1]
         f = s.focus
-        if isinstance(f, Unev):
-            term = sub(f.term, s.env)
-        else:
-            term = f  # values are closed, the environment is irrelevant
+        # values are closed, the environment is irrelevant
+        term = sub(f.term, s.env) if type(f) is Unev else f
         term = _plug(term, s.cstack, s.env, sub)
         for caller_cstack, caller_env in frames:
             term = _plug(term, caller_cstack, caller_env, sub)

@@ -199,7 +199,7 @@ def _print(t, calculus: str, kinds: tuple) -> str:
             return f"pi{u.index} {u.base}"
         if tu is Abs:
             ps = ", ".join(p.name for p in u.params)
-            return Parts((u.body,), leaf, None, lambda body: f"fun({ps}) -> {body}")
+            return Parts((u.body,), None, None, lambda body: f"fun({ps}) -> {body}")
         if tu is Closure:
             ws, ps = (", ".join(v.name for v in vs) for vs in (u.wrapped, u.params))
             head = f"({ws}); ({ps}). "
@@ -207,7 +207,7 @@ def _print(t, calculus: str, kinds: tuple) -> str:
             head = f"^{{{u.n_wrapped},{u.n_params}}} "
         match u.bag:
             case VarBag(vs) | PVarBag(vs) | ValBag(vs):
-                return Parts((*vs, u.body), leaf, None, lambda *rs: f"[{head}{rs[-1]}]<{', '.join(rs[:-1])}>")
+                return Parts((*vs, u.body), None, None, lambda *rs: f"[{head}{rs[-1]}]<{', '.join(rs[:-1])}>")
         raise TypeError(f"not a bag: {u.bag!r}")
 
     return fold(t, leaf, _node)

@@ -148,7 +148,11 @@ class TermMetrics:
 
 @dataclass(slots=True)
 class Parts:
-    """A leaf rule's answer: fold terms under leaf and memo, then build(*their results)."""
+    """A leaf rule's answer: fold terms under leaf and memo, then build(*their results).
+
+    A leaf of None folds the terms under the rule that answered, so that
+    a rule need not refer to itself.
+    """
 
     terms: tuple
     leaf: Callable
@@ -169,8 +173,9 @@ def fold(t, leaf, node=None, memo=None):
     result) for every node but a Var or PVar; a node found there is
     skipped. leaf does not fold a binder body or a bag entry itself: it
     answers Parts, whose terms are folded next, in order, under the
-    Parts' own leaf rule and memo (with the same node rule), and whose
-    build(*their results) gives the node's result or a further Parts.
+    Parts' own leaf rule (or the one that answered, when that is None)
+    and memo, with the same node rule, and whose build(*their results)
+    gives the node's result or a further Parts.
     The result is memoized in the memo of the context that asked. No
     nesting costs a Python frame.
     """
@@ -211,7 +216,9 @@ def fold(t, leaf, node=None, memo=None):
             r = leaf(u)
         if type(r) is Parts:  # its terms next, the first on top, under its leaf rule and memo
             todo += ([u, leaf, memo, r], _BUILD, *reversed(r.terms))
-            leaf, memo = r.leaf, r.memo
+            if r.leaf is not None:
+                leaf = r.leaf
+            memo = r.memo
         else:
             if memo is not None and tu is not Var and tu is not PVar:
                 memo[id(u)] = (u, r)
@@ -240,7 +247,7 @@ def metrics(t: SourceTerm) -> TermMetrics:
             return 1, 0, 0
         if type(u) is Abs:
             k = len(u.params)
-            return Parts((u.body,), leaf, memo, lambda body: (body[0] + k + 1, max(body[1], k), body[2] + k))
+            return Parts((u.body,), None, memo, lambda body: (body[0] + k + 1, max(body[1], k), body[2] + k))
         raise TypeError(f"not a source term: {u!r}")
 
     def node(u, parts) -> tuple[int, int, int]:
@@ -362,7 +369,7 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
         if tu is Var:
             return (u,)
         if tu is Abs:
-            return Parts((u.body,), leaf, memo, lambda body: _unbound(body, u.params))
+            return Parts((u.body,), None, memo, lambda body: _unbound(body, u.params))
         bag = u.bag if tu is Closure else None
         if type(bag) is VarBag:
             # a malformed bag may repeat a variable
@@ -371,7 +378,7 @@ def free_vars(t: SourceTerm | IntTerm, memo: dict | None = None) -> tuple[Var, .
             outer, terms = [], (*bag.vals, u.body)
         else:
             raise TypeError(f"term has no named variables: {u!r}")
-        return Parts(terms, leaf, memo, lambda *rs: _merge((_unbound(rs[-1], u.wrapped + u.params), *outer, *rs[:-1])))
+        return Parts(terms, None, memo, lambda *rs: _merge((_unbound(rs[-1], u.wrapped + u.params), *outer, *rs[:-1])))
 
     return fold(t, leaf, _merge_parts, memo)
 
@@ -557,6 +564,76 @@ class _Binds:
         return c
 
 
+class _Alpha:
+    """One alpha comparison: its memo and its low-water binder level.
+
+    low is the lowest binder level a variable matched since the
+    innermost node comparison began, or -1 once a free name matched.
+    """
+
+    __slots__ = ("memo", "low")
+
+    def __init__(self, memo: dict | None):
+        self.memo = memo
+        self.low = 0
+
+    def var(self, x: Var, y: Var, ma: _Binds, mb: _Binds) -> bool:
+        ix = ma.map.get(x.name)
+        iy = mb.map.get(y.name)
+        if ix is None and iy is None:
+            self.low = -1
+            return x.name == y.name
+        if ix is None or ix != iy:
+            return False
+        if ix < self.low:
+            self.low = ix
+        return True
+
+    def go(self, a, b, ma: _Binds, mb: _Binds) -> bool:
+        # ma and mb always hold the same number of binders, since each
+        # scope is entered on both sides with lists of equal lengths.
+        if type(a) is Var:
+            return type(b) is Var and self.var(a, b, ma, mb)
+        memo = self.memo
+        if memo is not None and (id(a), id(b)) in memo:
+            return True
+        outer, self.low = self.low, ma.next
+        go = self.go
+        match a, b:
+            case Abs(pa, ba), Abs(pb, bb):
+                eq = len(pa) == len(pb) and go(ba, bb, ma.child(pa), mb.child(pb))
+            case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
+                eq = (
+                    len(w1) == len(w2)
+                    and len(p1) == len(p2)
+                    and go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
+                )
+                if eq:
+                    match g1, g2:
+                        case VarBag(v1), VarBag(v2):
+                            eq = len(v1) == len(v2) and all(
+                                self.var(p, q, ma, mb) for p, q in zip(v1, v2)
+                            )
+                        case ValBag(v1), ValBag(v2):
+                            eq = len(v1) == len(v2) and all(
+                                go(p, q, ma, mb) for p, q in zip(v1, v2)
+                            )
+                        case _:
+                            eq = False
+            case App(f1, a1), App(f2, a2):
+                eq = go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
+            case Proj(i, t1), Proj(j, t2):
+                eq = i == j and go(t1, t2, ma, mb)
+            case Tuple(xs), Tuple(ys):
+                eq = len(xs) == len(ys) and all(go(p, q, ma, mb) for p, q in zip(xs, ys))
+            case _:
+                eq = False
+        if eq and memo is not None and self.low >= ma.next:
+            memo[(id(a), id(b))] = (a, b)
+        self.low = min(self.low, outer)
+        return eq
+
+
 def alpha_eq_source(
     a: SourceTerm | IntTerm, b: SourceTerm | IntTerm, memo: dict | None = None
 ) -> bool:
@@ -577,67 +654,7 @@ def alpha_eq_source(
     memo lives and a hit is what comparing would give. Without a memo
     nothing is remembered.
     """
-    # The lowest binder level a variable matched since the innermost
-    # node comparison began, or -1 once a free name matched.
-    low = 0
-
-    def var(x: Var, y: Var, ma: _Binds, mb: _Binds) -> bool:
-        nonlocal low
-        ix = ma.map.get(x.name)
-        iy = mb.map.get(y.name)
-        if ix is None and iy is None:
-            low = -1
-            return x.name == y.name
-        if ix is None or ix != iy:
-            return False
-        if ix < low:
-            low = ix
-        return True
-
-    def go(a, b, ma: _Binds, mb: _Binds) -> bool:
-        # ma and mb always hold the same number of binders, since each
-        # scope is entered on both sides with lists of equal lengths.
-        nonlocal low
-        if type(a) is Var:
-            return type(b) is Var and var(a, b, ma, mb)
-        if memo is not None and (id(a), id(b)) in memo:
-            return True
-        outer, low = low, ma.next
-        match a, b:
-            case Abs(pa, ba), Abs(pb, bb):
-                eq = len(pa) == len(pb) and go(ba, bb, ma.child(pa), mb.child(pb))
-            case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
-                eq = (
-                    len(w1) == len(w2)
-                    and len(p1) == len(p2)
-                    and go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
-                )
-                if eq:
-                    match g1, g2:
-                        case VarBag(v1), VarBag(v2):
-                            eq = len(v1) == len(v2) and all(
-                                var(p, q, ma, mb) for p, q in zip(v1, v2)
-                            )
-                        case ValBag(v1), ValBag(v2):
-                            eq = len(v1) == len(v2) and all(
-                                go(p, q, ma, mb) for p, q in zip(v1, v2)
-                            )
-                        case _:
-                            eq = False
-            case App(f1, a1), App(f2, a2):
-                eq = go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
-            case Proj(i, t1), Proj(j, t2):
-                eq = i == j and go(t1, t2, ma, mb)
-            case Tuple(xs), Tuple(ys):
-                eq = len(xs) == len(ys) and all(go(p, q, ma, mb) for p, q in zip(xs, ys))
-            case _:
-                eq = False
-        if eq and memo is not None and low >= ma.next:
-            memo[(id(a), id(b))] = (a, b)
-        low = min(low, outer)
-        return eq
-
-    return go(a, b, _Binds(), _Binds())
+    return _Alpha(memo).go(a, b, _Binds(), _Binds())
 
 
 alpha_eq_int = alpha_eq_source

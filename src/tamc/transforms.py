@@ -16,6 +16,8 @@ here (or in the tests) relies on that.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .calculi import subst_source_any
 from .terms import (
     Abs,
@@ -77,7 +79,7 @@ def wrap(t: SourceTerm) -> IntTerm:
             return u
         if type(u) is Abs:
             ys = free_vars(u, memo)
-            return Parts((u.body,), leaf, None, lambda body: Closure(ys, u.params, body, VarBag(ys)))
+            return Parts((u.body,), None, None, lambda body: Closure(ys, u.params, body, VarBag(ys)))
         raise TypeError(f"not a source term: {u!r}")
 
     return fold(t, leaf)
@@ -122,9 +124,43 @@ def unwrap(t: IntTerm, memo: dict | None = None) -> SourceTerm:
             new = rs[:-1] if vals else entries  # the unwrapped values, or the bag's variables
             return out if new == u.wrapped else subst_source_any(out, dict(zip(u.wrapped, new)))
 
-        return Parts((*vals, u.body), leaf, memo, build)
+        return Parts((*vals, u.body), None, memo, build)
 
     return fold(t, leaf, None, memo)
+
+
+def _projections(wrapped: tuple, params: tuple) -> dict:
+    """Each variable of the two lists mapped to its projection: pi_i l, else pi_j s."""
+    if set(wrapped) & set(params):
+        raise ValueError("wrapped and param lists must be disjoint")
+    index = {v: PVar("s", j) for j, v in enumerate(params, start=1)}
+    index.update((v, PVar("l", i)) for i, v in enumerate(wrapped, start=1))
+    return index
+
+
+def _project(index: dict, v: Var) -> PVar:
+    p = index.get(v)
+    if p is None:
+        raise ValueError(f"variable {v.name} is bound by neither list")
+    return p
+
+
+def _eliminate(index: dict, u):
+    """eliminate_names's leaf rule under the lists that index was built from."""
+    match u:
+        case Var():
+            return _project(index, u)
+        case Closure(w, p, body, VarBag(vs)):
+            new_bag = PVarBag(tuple(_project(index, v) for v in vs))
+            inner = partial(_eliminate, _projections(w, p))
+            return Parts((body,), inner, None, lambda b: TClosure(len(w), len(p), b, new_bag))
+        case Closure(w, p, body, ValBag(vals)):
+            inner = partial(_eliminate, _projections(w, p))
+            # the bag's values first, then the body under the closure's lists
+            return Parts(vals, None, None, lambda *vs: Parts(
+                (body,), inner, None, lambda b: TClosure(len(w), len(p), b, ValBag(vs))
+            ))
+    raise TypeError(f"not an intermediate term: {u!r}")
 
 
 def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
@@ -135,39 +171,45 @@ def eliminate_names(t: IntTerm, wrapped: tuple, params: tuple) -> TargetTerm:
     closure's body is translated under the closure's own lists, its bag
     under the enclosing ones.
     """
+    return fold(t, partial(_eliminate, _projections(wrapped, params)))
 
-    def under(wrapped: tuple, params: tuple):
-        if set(wrapped) & set(params):
-            raise ValueError("wrapped and param lists must be disjoint")
-        l_index = {v: i for i, v in enumerate(wrapped, start=1)}
-        s_index = {v: j for j, v in enumerate(params, start=1)}
 
-        def resolve(v: Var) -> PVar:
-            i = l_index.get(v)
-            if i is not None:
-                return PVar("l", i)
-            j = s_index.get(v)
-            if j is not None:
-                return PVar("s", j)
-            raise ValueError(f"variable {v.name} is bound by neither list")
+def _named(wrapped: tuple, params: tuple, p: PVar) -> Var:
+    vars_ = wrapped if p.base == "l" else params
+    if not 1 <= p.index <= len(vars_):
+        raise ValueError(f"pi{p.index} {p.base} outside the enclosing {len(vars_)} names")
+    return vars_[p.index - 1]
 
-        def leaf(u):
-            match u:
-                case Var():
-                    return resolve(u)
-                case Closure(w, p, body, VarBag(vs)):
-                    new_bag = PVarBag(tuple(map(resolve, vs)))
-                    return Parts((body,), under(w, p), None, lambda b: TClosure(len(w), len(p), b, new_bag))
-                case Closure(w, p, body, ValBag(vals)):
-                    inner = under(w, p)  # the bag's values first, then the body under the closure's lists
-                    return Parts(vals, leaf, None, lambda *vs: Parts(
-                        (body,), inner, None, lambda b: TClosure(len(w), len(p), b, ValBag(vs))
+
+def _naming_scope(memo, supply: FreshSupply, wrapped: tuple, params: tuple):
+    """naming's (leaf rule, fold memo) under the two lists; the fold memo is None without a memo."""
+    context = None if memo is None else memo.setdefault((id(wrapped), id(params)), (wrapped, params, {}))[2]
+    return partial(_naming, memo, supply, wrapped, params, context), context
+
+
+def _naming(memo, supply: FreshSupply, wrapped: tuple, params: tuple, context, u):
+    """naming's leaf rule under the two lists, context their fold memo."""
+    match u:
+        case PVar():
+            return _named(wrapped, params, u)
+        case TClosure(n, m, body, bag):
+            names = None if memo is None else memo.get(id(body))
+            if names is None or len(names[1]) != n or len(names[2]) != m:
+                names = (body, supply.wrapped_vars(n), supply.param_vars(m))
+                if memo is not None:
+                    memo[id(body)] = names
+            _, zs, ws = names
+            inner, inner_context = _naming_scope(memo, supply, zs, ws)
+            match bag:
+                case PVarBag(ps):
+                    new_bag = VarBag(tuple(_named(wrapped, params, p) for p in ps))
+                    return Parts((body,), inner, inner_context, lambda b: Closure(zs, ws, b, new_bag))
+                case ValBag(vals):
+                    # the bag's values first, then the body under the minted names
+                    return Parts(vals, None, context, lambda *vs: Parts(
+                        (body,), inner, inner_context, lambda b: Closure(zs, ws, b, ValBag(vs))
                     ))
-            raise TypeError(f"not an intermediate term: {u!r}")
-
-        return leaf
-
-    return fold(t, under(wrapped, params))
+    raise TypeError(f"not a target term: {u!r}")
 
 
 def naming(
@@ -200,43 +242,7 @@ def naming(
     no id is reused while the memo lives. Without a memo every closure
     mints fresh names.
     """
-
-    def under(wrapped: tuple, params: tuple):
-        key = (id(wrapped), id(params))
-        context = None if memo is None else memo.setdefault(key, (wrapped, params, {}))[2]
-
-        def resolve(p: PVar) -> Var:
-            vars_ = wrapped if p.base == "l" else params
-            if not 1 <= p.index <= len(vars_):
-                raise ValueError(f"pi{p.index} {p.base} outside the enclosing {len(vars_)} names")
-            return vars_[p.index - 1]
-
-        def leaf(u):
-            match u:
-                case PVar():
-                    return resolve(u)
-                case TClosure(n, m, body, bag):
-                    names = None if memo is None else memo.get(id(body))
-                    if names is None or len(names[1]) != n or len(names[2]) != m:
-                        names = (body, supply.wrapped_vars(n), supply.param_vars(m))
-                        if memo is not None:
-                            memo[id(body)] = names
-                    _, zs, ws = names
-                    inner, inner_context = under(zs, ws)
-                    match bag:
-                        case PVarBag(ps):
-                            new_bag = VarBag(tuple(map(resolve, ps)))
-                            return Parts((body,), inner, inner_context, lambda b: Closure(zs, ws, b, new_bag))
-                        case ValBag(vals):
-                            # the bag's values first, then the body under the minted names
-                            return Parts(vals, leaf, context, lambda *vs: Parts(
-                                (body,), inner, inner_context, lambda b: Closure(zs, ws, b, ValBag(vs))
-                            ))
-            raise TypeError(f"not a target term: {u!r}")
-
-        return leaf, context
-
-    leaf, context = under(wrapped, params)
+    leaf, context = _naming_scope(memo, supply, wrapped, params)
     return fold(t, leaf, None, context)
 
 

@@ -128,6 +128,23 @@ def test_a_memo_hit_on_a_part_root_skips_the_part():
     assert [rule for rule, _ in calls] == ["a", "b", "b", "a"]
 
 
+def test_a_parts_without_a_leaf_folds_under_the_rule_that_answered():
+    calls = []
+
+    def rule(name, inner):
+        def leaf(u):
+            calls.append(name)
+            if type(u) is Var:
+                return u.name
+            return Parts((u.body,), inner, None, lambda body: f"{name}({body})")
+
+        return leaf
+
+    t = Tuple((Abs((X,), Abs((Y,), Z)), W))
+    assert fold(t, rule("a", rule("b", None)), NODE) == ("Tuple", ["a(b(z))", "w"])
+    assert calls == ["a", "b", "b", "a"]
+
+
 def test_parts_with_no_terms_is_built_at_once():
     t = Tuple((Abs((), X), W))
     leaf = lambda u: Parts((), None, None, lambda: "built") if type(u) is Abs else u.name

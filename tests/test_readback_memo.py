@@ -11,15 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from tamc import bisim, machine_stacked
+from tamc import bisim, machine_source, machine_stacked
 from tamc.bisim import bisim_check
 from tamc.generate import GenConfig, gen_corpus
 from tamc.machine_common import MachineFinal, Transition
 from tamc.machine_int import init_itam, readback_itam, run_itam, step_itam
-from tamc.machine_source import init_stam, readback_stam, step_stam
+from tamc.machine_source import SClos, STup, init_stam, readback_stam, run_stam, step_stam
 from tamc.machine_stacked import PendingFn, ProjFrame, Unev
 from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
 from tamc.syntax import parse
+from tamc.terms import Proj, Var
 from tamc.transforms import closure_convert, wrap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -153,18 +154,49 @@ def _only_through_memo(swap):
     return mutate
 
 
+def _corrupt_entry_below_top(s):
+    """The source stack with the pending function just below its top under a projection."""
+    if len(s.stack) < 2 or type(s.stack[-2]) is not machine_source.PendingFn:
+        return None
+    below = s.stack[-2]
+    return s._replace(stack=(*s.stack[:-2], below._replace(term=Proj(1, below.term)), s.stack[-1]))
+
+
+def _swap_focus_env(s):
+    """The focus's environment, each variable bound to the identity instead, at
+    a compound focus: an earlier readback substituted that term under the old
+    environment, and the stack keeps the old one, so the readback sees the swap
+    only through the focus. A memo keyed by the term alone, or one fold memo for
+    every environment, would return the old substitution there. (On omega every
+    pending function is a variable, which a readback resolves with no memo.)"""
+    f = s.focus
+    if type(f) is not machine_source.Unev or type(f.term) is Var or not f.env:
+        return None
+    other = _identity_value(run_stam, lambda u: u)
+    return s._replace(focus=f._replace(env=tuple((var, other) for var, _ in f.env)))
+
+
 MUTANTS = [
     ("step_itam", "int machine", _corrupt_bottom_frame),
     ("step_ttam", "target machine", _corrupt_bottom_frame),
     ("step_itam", "int machine", _only_through_memo(_swap_named_env)),
     ("step_ttam", "target machine", _only_through_memo(_swap_positional_env)),
+    ("step_stam", "source machine", _corrupt_entry_below_top),
+    ("step_stam", "source machine", _swap_focus_env),
 ]
 
 
 @pytest.mark.parametrize(
     "step_name,machine,mutate",
     MUTANTS,
-    ids=["int-bottom-frame", "target-bottom-frame", "int-env-values", "target-env-values"],
+    ids=[
+        "int-bottom-frame",
+        "target-bottom-frame",
+        "int-env-values",
+        "target-env-values",
+        "source-below-top",
+        "source-focus-env",
+    ],
 )
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
 def test_walk_catches_mutant_overhead_transition(monkeypatch, step_name, machine, mutate, memo):
@@ -203,10 +235,10 @@ def test_memo_substitutes_at_most_once_per_transition(monkeypatch, text, fuel):
     calls = 0
     subst_bags = machine_stacked.subst_bags
 
-    def counting(t, resolve):
+    def counting(t, resolve, memo=None):
         nonlocal calls
         calls += 1
-        return subst_bags(t, resolve)
+        return subst_bags(t, resolve, memo)
 
     monkeypatch.setattr(machine_stacked, "subst_bags", counting)
     u = OMEGA if text is None else parse(text)
@@ -217,3 +249,55 @@ def test_memo_substitutes_at_most_once_per_transition(monkeypatch, text, fuel):
         transitions += 1
     assert transitions > 0
     assert 0 < calls <= transitions, (calls, transitions)
+
+
+# Sharing, counted on all three machines: one memo substitutes each
+# activation's body once, so a run of beta activations folds at most
+# beta + 1 terms under an environment. The stacked machines substitute
+# through subst_bags; the source machine folds source terms, and folds
+# machine values only to read them back.
+
+
+def _count_substitutions(monkeypatch, machine: str) -> list:
+    calls = []
+    if machine == "source":
+        fold = machine_source.fold
+
+        def counting(t, *rest):
+            if type(t) is not SClos and type(t) is not STup:
+                calls.append(t)
+            return fold(t, *rest)
+
+        monkeypatch.setattr(machine_source, "fold", counting)
+    else:
+        subst_bags = machine_stacked.subst_bags
+
+        def counting(t, resolve, memo=None):
+            calls.append(t)
+            return subst_bags(t, resolve, memo)
+
+        monkeypatch.setattr(machine_stacked, "subst_bags", counting)
+    return calls
+
+
+@pytest.mark.parametrize("machine,init,step,readback", MACHINES, ids=[m[0] for m in MACHINES])
+@pytest.mark.parametrize(
+    "text,fuel",
+    [(_church_program(3, 3), 100_000), (_church_program(2, 6), 100_000), (None, 1_000)],
+    ids=["church-3-3-id", "church-2-6-id", "omega@1000"],
+)
+def test_memo_substitutes_each_activation_once(monkeypatch, text, fuel, machine, init, step, readback):
+    calls = _count_substitutions(monkeypatch, machine)
+    u = OMEGA if text is None else parse(text)
+    memo: dict = {}
+    state, beta = init(u), 0
+    readback(state, memo)
+    for _ in range(fuel):
+        r = step(state)
+        if isinstance(r, MachineFinal):
+            break
+        state = r.state
+        beta += r.name == "ebeta"
+        readback(state, memo)
+    assert beta > 0
+    assert 0 < len(calls) <= beta + 1, (len(calls), beta)
