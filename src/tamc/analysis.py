@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .calculi import DEFAULT_FUEL
 from .machine_common import RunRecord, run_loop
@@ -156,12 +157,10 @@ def check_bilinear(rec: RunRecord, initial_size: int, constant: float) -> tuple[
     return ratio <= constant, ratio
 
 
-_SOURCE_CLASSES = {
-    "usub": "dec",
+_SHARED_CLASSES = {
     "usea1": "dec",
     "usea2": "dec",
     "usea3": "dec",
-    "usea5": "dec",
     "esea6": "dec",
     "usea4": "same",
     "esea1": "same",
@@ -170,20 +169,9 @@ _SOURCE_CLASSES = {
     "ebeta": "beta",
 }
 
-_STACKED_CLASSES = {
-    "usubv": "dec",
-    "usea1": "dec",
-    "usea2": "dec",
-    "usea3": "dec",
-    "esea6": "dec",
-    "usubw": "noninc",
-    "usea4": "same",
-    "esea1": "same",
-    "esea3": "same",
-    "epi": "same",
-    "esea7": "same",
-    "ebeta": "beta",
-}
+_SOURCE_CLASSES = {**_SHARED_CLASSES, "usub": "dec", "usea5": "dec"}
+
+_STACKED_CLASSES = {**_SHARED_CLASSES, "usubv": "dec", "usubw": "noninc", "esea7": "same"}
 
 
 def measure_violations(rec: RunRecord, machine: str, initial_size: int) -> list[str]:
@@ -217,6 +205,39 @@ def audit_measure(rec: RunRecord, machine: str, initial_size: int) -> bool:
     return not measure_violations(rec, machine, initial_size)
 
 
+def _unfolded_node(u, parts) -> int:
+    return (len(u.items) if type(u) is Tuple else 1) + sum(parts)
+
+
+def _unfolded_leaf(memo: dict, top: list, sizes: dict, u) -> int | Parts:
+    """The unfolded size's leaf rule under size map sizes; top[0] is the empty map's rule."""
+    tu = type(u)
+    if tu is Var:
+        return sizes.get(u.name, 1)
+    if tu is PVar:
+        return sizes.get(u.index, 1) if u.base == "l" else 1
+    if tu is Closure:
+        keys, m = [v.name for v in u.wrapped], len(u.params)
+    elif tu is TClosure:
+        keys, m = range(1, u.n_wrapped + 1), u.n_params
+    else:
+        raise TypeError(f"not an intermediate or target term: {u!r}")
+    match u.bag:
+        case ValBag(vals=vals):
+            return Parts(vals, top[0], memo, partial(_unfolded_body, memo, top, u.body, keys, m))
+        case VarBag(vars=vs) | PVarBag(pvars=vs):
+            sized = [_unfolded_leaf(memo, top, sizes, v) for v in vs]
+            return _unfolded_body(memo, top, u.body, keys, m, *sized)
+    raise TypeError(f"not an intermediate or target term: {u!r}")
+
+
+def _unfolded_body(memo: dict, top: list, body, keys, m: int, *sized) -> Parts:
+    """A closure's size once its bag is sized: 1 + m + its body's under the map the bag makes."""
+    inner = dict(zip(keys, sized))
+    rule = partial(_unfolded_leaf, memo, top, inner) if inner else top[0]
+    return Parts((body,), rule, None if inner else memo, (1 + m).__add__)
+
+
 def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
     """Size of the source term this intermediate or target term unwraps to.
 
@@ -224,43 +245,20 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
     a size map from each wrapped variable (its name, or for a target
     closure its l-index) to its bag entry's size, instead of
     substituting; parameters and s-projections count 1. Under the empty
-    size map a node's size depends on nothing outside it, so those sizes
-    are memoized by node identity, tuples and bag values included: the
-    cost is linear in the shared structure, not in the unfolded tree.
+    size map a node's size depends on nothing outside it, so the sizes
+    folded under it (the root, every bag value, every body whose bag is
+    empty) are memoized by node identity: the cost is linear in the
+    shared structure, not in the unfolded tree. The rules are
+    module-level; the empty map's rule, bound once per call, reaches
+    itself through top, which is emptied on return: no cycle is left.
     """
     memo: dict[int, tuple] = {}
-
-    def node(u, parts) -> int:
-        return (len(u.items) if type(u) is Tuple else 1) + sum(parts)
-
-    def under(sizes: dict):
-        def leaf(u) -> int:
-            tu = type(u)
-            if tu is Var:
-                return sizes.get(u.name, 1)
-            if tu is PVar:
-                return sizes.get(u.index, 1) if u.base == "l" else 1
-            if tu is Closure:
-                keys, m = [v.name for v in u.wrapped], len(u.params)
-            elif tu is TClosure:
-                keys, m = range(1, u.n_wrapped + 1), u.n_params
-            else:
-                raise TypeError(f"not an intermediate or target term: {u!r}")
-
-            def body(inner: dict) -> Parts:
-                return Parts((u.body,), under(inner), None if inner else memo, lambda b: 1 + m + b)
-
-            match u.bag:
-                case ValBag(vals=vals):
-                    return Parts(vals, top, memo, lambda *rs: body(dict(zip(keys, rs))))
-                case VarBag(vars=vs) | PVarBag(pvars=vs):
-                    return body({k: leaf(v) for k, v in zip(keys, vs)})
-            raise TypeError(f"not an intermediate or target term: {u!r}")
-
-        return leaf
-
-    top = under({})  # the empty size map's leaf, for the root and every bag value
-    return fold(t, top, node, memo)
+    top: list = []
+    top.append(partial(_unfolded_leaf, memo, top, {}))
+    try:
+        return fold(t, top[0], _unfolded_node, memo)
+    finally:
+        top.clear()
 
 
 unfolded_size_from_target = unfolded_size_from_int

@@ -237,9 +237,9 @@ def _subst(memo: dict, scopes: dict | None, t: SourceTerm, env: tuple) -> Source
     return fold(t, partial(_under, memo, scopes, env, _TOP), None, scope)
 
 
-def readback_value(v: SValue, memo: dict | None = None) -> SourceTerm:
-    """The source term of machine value v; memo as in readback_stam."""
-    return _read({}, None, v) if memo is None else _read(memo, memo, v)
+def readback_value(v: SValue) -> SourceTerm:
+    """The source term of machine value v."""
+    return _read({}, None, v)
 
 
 def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
