@@ -180,23 +180,13 @@ def measure_violations(rec: RunRecord, machine: str, initial_size: int) -> list[
         raise ValueError("run was not recorded with measures")
     classes = _SOURCE_CLASSES if machine == "source" else _STACKED_CLASSES
     out = []
-    for i, (name, before, after) in enumerate(
-        zip(rec.labels, rec.measures, rec.measures[1:])
-    ):
+    for i, (name, before, after) in enumerate(zip(rec.labels, rec.measures, rec.measures[1:])):
         cls = classes.get(name)
         delta = after - before
-        ok = True
+        ok = {"dec": delta < 0, "noninc": delta <= 0, "same": delta == 0, "beta": delta <= initial_size}
         if cls is None:
-            ok = False
-        elif cls == "dec":
-            ok = delta < 0
-        elif cls == "noninc":
-            ok = delta <= 0
-        elif cls == "same":
-            ok = delta == 0
-        elif cls == "beta":
-            ok = delta <= initial_size
-        if not ok:
+            out.append(f"step {i} {name}: no measure class for the {machine} machine")
+        elif not ok[cls]:
             out.append(f"step {i} {name}: measure {before} -> {after} breaks '{cls}'")
     return out
 
@@ -209,8 +199,8 @@ def _unfolded_node(u, parts) -> int:
     return (len(u.items) if type(u) is Tuple else 1) + sum(parts)
 
 
-def _unfolded_leaf(memo: dict, top: list, sizes: dict, u) -> int | Parts:
-    """The unfolded size's leaf rule under size map sizes; top[0] is the empty map's rule."""
+def _unfolded_leaf(memo: dict, sizes: dict, u) -> int | Parts:
+    """The unfolded size's leaf rule under size map sizes; memo holds the empty map's sizes."""
     tu = type(u)
     if tu is Var:
         return sizes.get(u.name, 1)
@@ -224,17 +214,18 @@ def _unfolded_leaf(memo: dict, top: list, sizes: dict, u) -> int | Parts:
         raise TypeError(f"not an intermediate or target term: {u!r}")
     match u.bag:
         case ValBag(vals=vals):
-            return Parts(vals, top[0], memo, partial(_unfolded_body, memo, top, u.body, keys, m))
+            rule = partial(_unfolded_leaf, memo, {}) if sizes else None
+            return Parts(vals, rule, memo, partial(_unfolded_body, memo, sizes, u.body, keys, m))
         case VarBag(vars=vs) | PVarBag(pvars=vs):
-            sized = [_unfolded_leaf(memo, top, sizes, v) for v in vs]
-            return _unfolded_body(memo, top, u.body, keys, m, *sized)
+            sized = [_unfolded_leaf(memo, sizes, v) for v in vs]
+            return _unfolded_body(memo, sizes, u.body, keys, m, *sized)
     raise TypeError(f"not an intermediate or target term: {u!r}")
 
 
-def _unfolded_body(memo: dict, top: list, body, keys, m: int, *sized) -> Parts:
+def _unfolded_body(memo: dict, sizes: dict, body, keys, m: int, *sized) -> Parts:
     """A closure's size once its bag is sized: 1 + m + its body's under the map the bag makes."""
     inner = dict(zip(keys, sized))
-    rule = partial(_unfolded_leaf, memo, top, inner) if inner else top[0]
+    rule = partial(_unfolded_leaf, memo, inner) if inner or sizes else None
     return Parts((body,), rule, None if inner else memo, (1 + m).__add__)
 
 
@@ -249,16 +240,13 @@ def unfolded_size_from_int(t: IntTerm | TargetTerm) -> int:
     folded under it (the root, every bag value, every body whose bag is
     empty) are memoized by node identity: the cost is linear in the
     shared structure, not in the unfolded tree. The rules are
-    module-level; the empty map's rule, bound once per call, reaches
-    itself through top, which is emptied on return: no cycle is left.
+    module-level. Under the empty map, bag values and empty-bag bodies
+    fold under the rule that answered (a Parts leaf of None); under a
+    non-empty map, under a fresh empty-map rule. No rule refers to
+    itself, so no call builds a cycle.
     """
     memo: dict[int, tuple] = {}
-    top: list = []
-    top.append(partial(_unfolded_leaf, memo, top, {}))
-    try:
-        return fold(t, top[0], _unfolded_node, memo)
-    finally:
-        top.clear()
+    return fold(t, partial(_unfolded_leaf, memo, {}), _unfolded_node, memo)
 
 
 unfolded_size_from_target = unfolded_size_from_int

@@ -43,7 +43,10 @@ from .machine_common import (
     lookup,
     run_loop,
 )
-from .terms import Abs, App, Parts, Proj, SourceTerm, Tuple, Var, fold, free_vars, reject_closures, shared_size_source
+from .terms import (
+    Abs, App, Parts, Proj, SourceTerm, Tuple, Var, context_memo, fold, free_vars, reject_closures,
+    shared_size_source,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +181,8 @@ def _value(memo: dict, scopes: dict | None, u):
     if type(u) is SClos:
         if not u.env:
             return u.abs
-        return Parts((u.abs,), partial(_under, memo, scopes, u.env, _TOP), _scope(scopes, u.env), _same)
+        scope = context_memo(scopes, id(u.env), u.env)
+        return Parts((u.abs,), partial(_under, memo, scopes, u.env, _TOP), scope, _same)
     raise MachineInvariantError(f"not a machine value: {u!r}")
 
 
@@ -194,16 +198,6 @@ def _under(memo: dict, scopes: dict | None, env: tuple, shadow: frozenset, u):
         inner = partial(_under, memo, scopes, env, shadow | {p.name for p in u.params})
         return Parts((u.body,), inner, None, lambda body: Abs(u.params, body))
     raise MachineInvariantError(f"not a source term: {u!r}")
-
-
-def _scope(scopes: dict | None, env: tuple) -> dict | None:
-    """The fold memo of the substitutions under env, or None without scopes."""
-    if scopes is None:
-        return None
-    scope = scopes.get(id(env))
-    if scope is None:
-        scope = scopes[id(env)] = (env, {})
-    return scope[1]
 
 
 def _read(memo: dict, scopes: dict | None, v: SValue) -> SourceTerm:
@@ -231,7 +225,7 @@ def _subst(memo: dict, scopes: dict | None, t: SourceTerm, env: tuple) -> Source
         return t
     if scopes is not None and type(t) is Var:
         return _read(memo, scopes, lookup(env, t)[0])
-    scope = _scope(scopes, env)
+    scope = context_memo(scopes, id(env), env)
     if scope is not None and id(t) in scope:
         return scope[id(t)][1]
     return fold(t, partial(_under, memo, scopes, env, _TOP), None, scope)

@@ -46,7 +46,10 @@ from .machine_common import (
     Transition,
     run_loop,
 )
-from .terms import App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag, prime_int, size_int
+from .terms import (
+    App, Closure, Proj, PVar, PVarBag, TClosure, Tuple, ValBag, Var, VarBag, context_memo,
+    prime_int, size_int,
+)
 
 
 class Unev(NamedTuple):
@@ -102,16 +105,11 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
         """t with env's bindings resolved; memo as in readback, or None to substitute afresh."""
         if env == empty:
             return t
-        scope = None  # env's fold memo
-        if memo is not None:
-            if type(t) is Var or type(t) is PVar:
-                return resolve(env, t)[0]
-            entry = memo.get(id(env))
-            if entry is None:
-                entry = memo[id(env)] = (env, {})
-            scope = entry[1]
-            if id(t) in scope:
-                return scope[id(t)][1]
+        if memo is not None and (type(t) is Var or type(t) is PVar):
+            return resolve(env, t)[0]
+        scope = context_memo(memo, id(env), env)  # env's fold memo
+        if scope is not None and id(t) in scope:
+            return scope[id(t)][1]
         return subst_bags(t, lambda v: resolve(env, v)[0], scope)
 
     def step(s: State) -> Transition | MachineFinal:

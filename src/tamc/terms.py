@@ -226,6 +226,21 @@ def fold(t, leaf, node=None, memo=None):
     return done[0]
 
 
+def context_memo(memo: dict | None, key, held) -> dict | None:
+    """The fold memo of one context inside memo, or None without a memo.
+
+    memo maps key to (held, the context's fold memo), made on first use;
+    held holds the objects whose ids make up key, so no id is reused
+    while memo lives.
+    """
+    if memo is None:
+        return None
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (held, {})
+    return entry[1]
+
+
 def metrics(t: SourceTerm) -> TermMetrics:
     """Size, width, and height of a source term.
 

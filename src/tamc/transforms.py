@@ -32,6 +32,7 @@ from .terms import (
     ValBag,
     Var,
     VarBag,
+    context_memo,
     fold,
     free_vars,
     norms_target,
@@ -183,7 +184,7 @@ def _named(wrapped: tuple, params: tuple, p: PVar) -> Var:
 
 def _naming_scope(memo, supply: FreshSupply, wrapped: tuple, params: tuple):
     """naming's (leaf rule, fold memo) under the two lists; the fold memo is None without a memo."""
-    context = None if memo is None else memo.setdefault((id(wrapped), id(params)), (wrapped, params, {}))[2]
+    context = context_memo(memo, (id(wrapped), id(params)), (wrapped, params))
     return partial(_naming, memo, supply, wrapped, params, context), context
 
 
@@ -230,7 +231,7 @@ def naming(
     of one run, together with one supply for all of them. A node's
     naming depends on the node and the two enclosing lists only, so
     memo keeps one context per pair of lists: (id(wrapped), id(params))
-    maps to (wrapped, params, the fold memo of the namings under them).
+    maps to ((wrapped, params), the fold memo of the namings under them).
     A closure body's projections resolve against the body's own lists,
     so a body is named once, under the names minted for it the first
     time it is met: id(body) maps to (body, wrapped names, param names),

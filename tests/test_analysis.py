@@ -38,8 +38,8 @@ from tamc.machine_int import run_itam
 from tamc.machine_source import readback_value, run_stam
 from tamc.machine_target import run_ttam
 from tamc.syntax import parse, print_source
-from tamc.terms import metrics, shared_size_source, size_int
-from tamc.transforms import closure_convert, reverse_convert, unwrap, wrap
+from tamc.terms import Closure, Tuple, ValBag, Var, metrics, shared_size_source, size_int
+from tamc.transforms import closure_convert, eliminate_names, reverse_convert, unwrap, wrap
 
 
 def test_family_shapes():
@@ -118,6 +118,17 @@ def test_unfolded_size_stays_cheap_at_large_n():
     assert shared_size_source(readback_value(srec.final_state.focus)) == tuple_explosion_nf_size(18)
 
 
+def test_unfolded_size_of_a_value_bag_under_a_non_empty_size_map():
+    # The inner closure's bag value is sized under the empty map, while
+    # the body around it is sized under the map {a: |I|}.
+    a, b, z = Var("a"), Var("b"), Var("z")
+    ident = Closure((), (z,), z, ValBag(()))
+    t = Closure((a,), (), Tuple((a, ident, Closure((b,), (), b, ValBag((ident,))))), ValBag((ident,)))
+    assert metrics(unwrap(t)).size == 14
+    assert unfolded_size_from_int(t) == 14
+    assert unfolded_size_from_target(eliminate_names(t, (), ())) == 14
+
+
 def test_transition_match_on_runs():
     t = parse("(fun(x) -> pi 1 <x, x, <>>) <fun(y) -> y>")
     assert check_transition_match(run_stam(t), "source")
@@ -161,6 +172,15 @@ def test_measure_violation_detected():
     assert len(out) == 1 and "usub" in out[0]
     with pytest.raises(ValueError):
         measure_violations(run_stam(identity()), "source", 3)
+
+
+def test_measure_violations_names_an_unclassified_transition():
+    # usubw, usubv and esea7 are stacked-machine transitions: the source
+    # classes have none of them
+    rec = run_itam(wrap(parse("(fun(x) -> x) <fun(y) -> y>")), record_measure=True)
+    out = measure_violations(rec, "source", 5)
+    assert out[0] == "step 2 usubw: no measure class for the source machine"
+    assert not any("None" in line for line in out)
 
 
 @pytest.mark.parametrize("audit", [measure_violations, audit_measure])

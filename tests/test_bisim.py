@@ -5,6 +5,9 @@ tests also verify it can fail: a broken reverse translation must be
 caught, not absorbed.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from tamc import bisim
@@ -251,3 +254,14 @@ def test_each_walk_failure_message_is_reachable(program, mutant, machine_fuel, f
     rep = bisim_check(parse(program), machine_fuel=machine_fuel)
     assert not rep.ok
     assert rep.failures == failures
+
+
+def test_bisim_binds_every_name_the_tracer_rebinds():
+    # perfbench/tracing.py patches these names in tamc.bisim's namespace
+    # for a traced benchmark run, which fails on any name bisim lacks
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BISIM_NAMES
+    assert [name for name in tracing.BISIM_NAMES if not hasattr(bisim, name)] == []

@@ -23,6 +23,7 @@ from tamc.terms import (
     alpha_eq_source,
     closed_int,
     closed_target,
+    context_memo,
     free_vars,
     is_closed_source,
     is_value_int,
@@ -275,3 +276,13 @@ def test_shared_size_walks_dags_once():
     for _ in range(40):
         expected = 2 + 2 * expected
     assert shared_size_source(t) == expected
+
+
+def test_context_memo_makes_one_fold_memo_per_key():
+    assert context_memo(None, 1, x) is None
+    memo: dict = {}
+    first = context_memo(memo, 1, x)
+    assert first == {} and context_memo(memo, 1, y) is first
+    assert memo[1][0] is x and memo[1][1] is first  # the entry holds what was given first
+    other = context_memo(memo, 2, y)
+    assert other is not first and memo[2][0] is y
