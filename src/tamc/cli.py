@@ -76,52 +76,42 @@ def _fuel(flag: int | None, default: int) -> int | None:
 
 
 def _brief(t, budget: int = 14) -> str:
-    parts: list[str] = []
-
-    def go(t):
-        nonlocal budget
+    """t in short: its nodes in pre-order, one unit of budget each; once it is spent, "..." for a node and its parts."""
+    out: list[str] = []
+    todo = [t]  # nodes and, between them, the strings to print
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            out.append(u)
+            continue
         if budget <= 0:
-            parts.append("...")
-            return
+            out.append("...")
+            continue
         budget -= 1
-        match t:
+        match u:
             case Var(name=name):
-                parts.append(name)
+                parts = (name,)
             case PVar(base=base, index=i):
-                parts.append(f"pi{i} {base}")
+                parts = (f"pi{i} {base}",)
             case Abs(params=params):
-                parts.append(f"fun/{len(params)}")
+                parts = (f"fun/{len(params)}",)
             case App(fn=fn, arg=arg):
-                parts.append("(")
-                go(fn)
-                parts.append(" ")
-                go(arg)
-                parts.append(")")
+                parts = ("(", fn, " ", arg, ")")
             case Proj(index=i, arg=arg):
-                parts.append(f"pi{i} ")
-                go(arg)
+                parts = (f"pi{i} ", arg)
             case Tuple(items=items):
-                parts.append("<")
-                for k, it in enumerate(items):
-                    if k:
-                        parts.append(", ")
-                    go(it)
-                parts.append(">")
+                parts = ("<", *[p for it in items for p in (", ", it)][1:], ">")  # no comma before the first
             case Closure(body=b, bag=bag) | TClosure(body=b, bag=bag):
-                parts.append("[")
-                go(b)
                 bagmark = "v" if isinstance(bag, (VarBag, PVarBag)) else "!"
-                parts.append(f"]{bagmark}")
+                parts = ("[", b, f"]{bagmark}")
             case SClos(abs=ab):
-                parts.append("clos ")
-                go(ab)
+                parts = ("clos ", ab)
             case STup(items=items):
-                parts.append(f"tup/{len(items)}")
+                parts = (f"tup/{len(items)}",)
             case _:
-                parts.append("?")
-
-    go(t)
-    return "".join(parts)
+                parts = ("?",)
+        todo += reversed(parts)
+    return "".join(out)
 
 
 def _focus_summary(state) -> str:
@@ -357,7 +347,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except RecursionError:
-        # The parser, alpha_eq_source, and the terms' == and hash recurse: deep input exhausts the stack.
+        # The parser and the terms' == and hash recurse: deep input exhausts the stack.
         where = getattr(args, "file", None)
         return _fail_usage(f"{where}: input nested too deeply" if where else "input nested too deeply")
     except MachineInvariantError as e:

@@ -560,93 +560,8 @@ def well_formed_target(t: TargetTerm) -> bool:
     return True
 
 
-class _Binds:
-    """On-the-fly de Bruijn levels for alpha comparison."""
-
-    __slots__ = ("map", "next")
-
-    def __init__(self):
-        self.map: dict[str, int] = {}
-        self.next = 0
-
-    def child(self, names):
-        c = _Binds.__new__(_Binds)
-        c.map = dict(self.map)
-        c.next = self.next
-        for n in names:
-            c.map[n.name] = c.next
-            c.next += 1
-        return c
-
-
-class _Alpha:
-    """One alpha comparison: its memo and its low-water binder level.
-
-    low is the lowest binder level a variable matched since the
-    innermost node comparison began, or -1 once a free name matched.
-    """
-
-    __slots__ = ("memo", "low")
-
-    def __init__(self, memo: dict | None):
-        self.memo = memo
-        self.low = 0
-
-    def var(self, x: Var, y: Var, ma: _Binds, mb: _Binds) -> bool:
-        ix = ma.map.get(x.name)
-        iy = mb.map.get(y.name)
-        if ix is None and iy is None:
-            self.low = -1
-            return x.name == y.name
-        if ix is None or ix != iy:
-            return False
-        if ix < self.low:
-            self.low = ix
-        return True
-
-    def go(self, a, b, ma: _Binds, mb: _Binds) -> bool:
-        # ma and mb always hold the same number of binders, since each
-        # scope is entered on both sides with lists of equal lengths.
-        if type(a) is Var:
-            return type(b) is Var and self.var(a, b, ma, mb)
-        memo = self.memo
-        if memo is not None and (id(a), id(b)) in memo:
-            return True
-        outer, self.low = self.low, ma.next
-        go = self.go
-        match a, b:
-            case Abs(pa, ba), Abs(pb, bb):
-                eq = len(pa) == len(pb) and go(ba, bb, ma.child(pa), mb.child(pb))
-            case Closure(w1, p1, b1, g1), Closure(w2, p2, b2, g2):
-                eq = (
-                    len(w1) == len(w2)
-                    and len(p1) == len(p2)
-                    and go(b1, b2, ma.child(w1 + p1), mb.child(w2 + p2))
-                )
-                if eq:
-                    match g1, g2:
-                        case VarBag(v1), VarBag(v2):
-                            eq = len(v1) == len(v2) and all(
-                                self.var(p, q, ma, mb) for p, q in zip(v1, v2)
-                            )
-                        case ValBag(v1), ValBag(v2):
-                            eq = len(v1) == len(v2) and all(
-                                go(p, q, ma, mb) for p, q in zip(v1, v2)
-                            )
-                        case _:
-                            eq = False
-            case App(f1, a1), App(f2, a2):
-                eq = go(f1, f2, ma, mb) and go(a1, a2, ma, mb)
-            case Proj(i, t1), Proj(j, t2):
-                eq = i == j and go(t1, t2, ma, mb)
-            case Tuple(xs), Tuple(ys):
-                eq = len(xs) == len(ys) and all(go(p, q, ma, mb) for p, q in zip(xs, ys))
-            case _:
-                eq = False
-        if eq and memo is not None and self.low >= ma.next:
-            memo[(id(a), id(b))] = (a, b)
-        self.low = min(self.low, outer)
-        return eq
+_ENTER = object()  # on alpha_eq_source's stack, binds the binder lists it holds
+_LEAVE = object()  # on alpha_eq_source's stack, unbinds them and settles the pair it holds
 
 
 def alpha_eq_source(
@@ -656,7 +571,14 @@ def alpha_eq_source(
 
     Free variables compare by name. An abstraction's params, and a
     closure's wrapped and param lists, bind in the body; a closure's bag
-    lives in the enclosing scope.
+    lives in the enclosing scope and is compared first. Two nodes of
+    different kinds are unequal; a node of neither calculus raises
+    TypeError.
+
+    The comparison keeps its own stack. Each side maps a bound name to
+    its binders' de Bruijn levels, innermost last: entering a scope
+    pushes them, leaving it pops them, and two bound variables match
+    when their levels do.
 
     memo, when given, is a dict that one caller passes to every
     comparison of one run. It remembers the pairs proven alpha-equal
@@ -669,7 +591,77 @@ def alpha_eq_source(
     memo lives and a hit is what comparing would give. Without a memo
     nothing is remembered.
     """
-    return _Alpha(memo).go(a, b, _Binds(), _Binds())
+    ma: dict[str, list[int]] = {}
+    mb: dict[str, list[int]] = {}
+    # low: the lowest level a variable matched since the innermost pair
+    # began, or -1 once a free name matched
+    level = low = 0
+    todo: list = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is _ENTER:  # b is the two binder lists
+            for x, y in zip(*b):
+                ma.setdefault(x.name, []).append(level)
+                mb.setdefault(y.name, []).append(level)
+                level += 1
+            continue
+        if a is _LEAVE:  # b is the pair, its binder lists and the low outside it
+            a, b, pa, pb, before = b
+            for x, y in zip(pa, pb):
+                ma[x.name].pop()
+                mb[y.name].pop()
+            level -= len(pa)
+            if memo is not None and low >= level:
+                memo[id(a), id(b)] = (a, b)
+            if before < low:
+                low = before
+            continue
+        ta = type(a)
+        if ta is not type(b):
+            for u in a, b:
+                if type(u) not in (Var, Abs, App, Proj, Tuple, Closure):
+                    raise TypeError(f"not a source or intermediate term: {u!r}")
+            return False
+        if ta is Var:
+            la, lb = ma.get(a.name), mb.get(b.name)
+            ix = la[-1] if la else -1  # a free name's level is -1
+            if ix != (lb[-1] if lb else -1) or ix < 0 and a.name != b.name:
+                return False
+            if ix < low:
+                low = ix
+            continue
+        if memo is not None and (id(a), id(b)) in memo:
+            continue
+        pa = pb = ()  # the binder lists over the body, whose parts are compared outside them
+        if ta is App:
+            parts = (a.fn, b.fn), (a.arg, b.arg)
+        elif ta is Proj:
+            parts = ((a.arg, b.arg),) if a.index == b.index else None
+        elif ta is Tuple:
+            parts = tuple(zip(a.items, b.items)) if len(a.items) == len(b.items) else None
+        elif ta is Abs:
+            parts, pa, pb = (), a.params, b.params
+        elif ta is Closure:
+            ga, gb = a.bag, b.bag
+            if type(ga) is VarBag and type(gb) is VarBag:
+                ga, gb = ga.vars, gb.vars
+            elif type(ga) is ValBag and type(gb) is ValBag:
+                ga, gb = ga.vals, gb.vals
+            else:
+                return False
+            same = len(ga) == len(gb) and len(a.wrapped) == len(b.wrapped)
+            parts = tuple(zip(ga, gb)) if same else None
+            pa, pb = a.wrapped + a.params, b.wrapped + b.params
+        else:
+            raise TypeError(f"not a source or intermediate term: {a!r}")
+        if parts is None or len(pa) != len(pb):
+            return False
+        todo.append((_LEAVE, (a, b, pa, pb, low)))
+        if ta is Abs or ta is Closure:
+            todo += ((a.body, b.body), (_ENTER, (pa, pb)))
+        todo += reversed(parts)
+        low = level
+    return True
 
 
 alpha_eq_int = alpha_eq_source
