@@ -17,11 +17,13 @@ The source and intermediate machines share the flat named environment
 and its one lookup, below; the target's positional one is in
 `machine_target`.
 
-The records a machine builds at every transition (Transition, Cost and
-the stack entries) are NamedTuples, which construct at tuple speed. They
-are immutable and keep the dataclass repr, but they compare as plain
-tuples, so records of different classes with equal fields are equal
-(Unev(t) == PendingFn(t)); nothing in the library compares records.
+The records a machine builds at every transition (Transition, Cost,
+states and stack entries) are NamedTuples. They are immutable and keep
+the dataclass repr, but they compare as plain tuples, so records of
+different classes with equal fields are equal (Unev(t) == PendingFn(t));
+nothing in the library compares records. The step functions dispatch
+on exact types (`type(x) is C`) and build them with make_record, which
+takes every field, defaults included.
 MachineFinal and RunRecord, built once per run, stay dataclasses.
 """
 
@@ -57,6 +59,16 @@ class Cost(NamedTuple):
     lookup: int = 0
     subv_lookup: int = 0
 
+
+make_record = tuple.__new__
+"""make_record(Cls, fields) builds the NamedTuple Cls from the tuple of all its fields.
+
+fields holds every field in order, defaults included, as in
+make_record(Cost, (1 + n, n, 0, 0)). The call goes straight to the
+built-in tuple constructor, skipping the Python-level __new__ that
+NamedTuple generates, and checks nothing: a missing or extra field
+makes a record of the wrong length without an error.
+"""
 
 # The cost of every transition that does one unit of work and nothing else.
 UNIT_COST = Cost(1)

@@ -20,7 +20,9 @@ duplicate an environment into a new stack entry (function push, tuple
 open, tuple continue); beta extends an environment instead and is
 charged only for the fresh bindings.
 
-States and stack entries are NamedTuples, as in `machine_common`; the
+States and stack entries are NamedTuples, as in `machine_common`;
+step_stam dispatches on the exact type of the focus and the stack head
+and builds them with `make_record`, which takes every field. The
 machine values SClos and STup stay dataclasses.
 """
 
@@ -41,6 +43,7 @@ from .machine_common import (
     RunRecord,
     Transition,
     lookup,
+    make_record,
     run_loop,
 )
 from .terms import (
@@ -95,76 +98,68 @@ def init_stam(t: SourceTerm) -> SState:
 
 def step_stam(s: SState) -> Transition | MachineFinal:
     f, stack = s
-    if isinstance(f, Unev):
+    cost = UNIT_COST
+    if type(f) is Unev:
         t, env = f
-        match t:
-            case App(fn=fn, arg=arg):
-                entry = PendingFn(fn, env)
-                return Transition(
-                    "usea1",
-                    SState(Unev(arg, env), stack + (entry,)),
-                    Cost(1 + len(env), env_copy=len(env)),
-                )
-            case Proj(index=i, arg=arg):
-                return Transition(
-                    "usea2", SState(Unev(arg, env), stack + (ProjFrame(i),)), UNIT_COST
-                )
-            case Tuple(items=items) if items:
-                entry = PartialTuple(items[:-1], env, ())
-                return Transition(
-                    "usea3",
-                    SState(Unev(items[-1], env), stack + (entry,)),
-                    Cost(1 + len(env) + len(items), env_copy=len(env)),
-                )
-            case Tuple(items=()):
-                # The environment is dropped: an empty tuple is already a value.
-                return Transition("usea4", SState(STup(()), stack), UNIT_COST)
-            case Abs():
-                return Transition("usea5", SState(SClos(t, env), stack), UNIT_COST)
-            case Var():
-                val, pos = lookup(env, t)
-                return Transition(
-                    "usub", SState(val, stack), Cost(1 + pos, lookup=pos, subv_lookup=pos)
-                )
-        raise MachineInvariantError(f"not a source term in focus: {t!r}")
-
-    if not stack:
+        tt = type(t)
+        if tt is Var:
+            name = "usub"
+            f, pos = lookup(env, t)
+            cost = make_record(Cost, (1 + pos, 0, pos, pos))
+        elif tt is Tuple and t.items:
+            name, items = "usea3", t.items
+            f = make_record(Unev, (items[-1], env))
+            stack += (make_record(PartialTuple, (items[:-1], env, ())),)
+            cost = make_record(Cost, (1 + len(env) + len(items), len(env), 0, 0))
+        elif tt is App:
+            name, f = "usea1", make_record(Unev, (t.arg, env))
+            stack += (make_record(PendingFn, (t.fn, env)),)
+            cost = make_record(Cost, (1 + len(env), len(env), 0, 0))
+        elif tt is Proj:
+            name, f = "usea2", make_record(Unev, (t.arg, env))
+            stack += (make_record(ProjFrame, (t.index,)),)
+        elif tt is Abs:
+            name, f = "usea5", SClos(t, env)
+        elif tt is Tuple:  # the environment is dropped: an empty tuple is already a value
+            name, f = "usea4", STup(())
+        else:
+            raise MachineInvariantError(f"not a source term in focus: {t!r}")
+    elif not stack:
         return MachineFinal("successful")
-    head = stack[-1]
-    rest = stack[:-1]
-    match head:
-        case PendingFn(term=t, env=env):
-            return Transition(
-                "esea1", SState(Unev(t, env), rest + (ArgVal(f),)), UNIT_COST
-            )
-        case PartialTuple(pending=pending, env=env, done=done):
+    else:
+        head, stack = stack[-1], stack[:-1]
+        th = type(head)
+        if th is PartialTuple:
+            pending, env, done = head
             if pending:
-                entry = PartialTuple(pending[:-1], env, (f,) + done)
-                return Transition(
-                    "esea6",
-                    SState(Unev(pending[-1], env), rest + (entry,)),
-                    Cost(1 + len(env), env_copy=len(env)),
-                )
-            items = (f,) + done
-            return Transition("esea3", SState(STup(items), rest), Cost(1 + len(items)))
-        case ProjFrame(index=i):
-            if isinstance(f, STup) and 1 <= i <= len(f.items):
-                return Transition("epi", SState(f.items[i - 1], rest), UNIT_COST)
-            return MachineFinal("clash", ClashKind.PROJECTION)
-        case ArgVal(value=v):
-            if isinstance(f, STup):
+                stack += (make_record(PartialTuple, (pending[:-1], env, (f,) + done)),)
+                name, f = "esea6", make_record(Unev, (pending[-1], env))
+                cost = make_record(Cost, (1 + len(env), len(env), 0, 0))
+            else:
+                name, f = "esea3", STup((f,) + done)
+                cost = make_record(Cost, (1 + len(f.items), 0, 0, 0))
+        elif th is PendingFn:
+            stack += (make_record(ArgVal, (f,)),)
+            name, f = "esea1", make_record(Unev, head)  # a pending function has Unev's fields
+        elif th is ArgVal:
+            if type(f) is STup:
                 return MachineFinal("clash", ClashKind.TUPLE)
-            if isinstance(f, SClos):
-                params = f.abs.params
-                if isinstance(v, STup) and len(v.items) == len(params):
-                    new_env = tuple(zip(params, v.items)) + f.env
-                    return Transition(
-                        "ebeta",
-                        SState(Unev(f.abs.body, new_env), rest),
-                        Cost(1 + len(params)),
-                    )
+            if type(f) is not SClos:
+                raise MachineInvariantError(f"not a machine value in focus: {f!r}")
+            params, v = f.abs.params, head.value
+            if type(v) is not STup or len(v.items) != len(params):
                 return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
-    raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+            name = "ebeta"
+            f = make_record(Unev, (f.abs.body, tuple(zip(params, v.items)) + f.env))
+            cost = make_record(Cost, (1 + len(params), 0, 0, 0))
+        elif th is ProjFrame:
+            i = head.index
+            if type(f) is not STup or not 1 <= i <= len(f.items):
+                return MachineFinal("clash", ClashKind.PROJECTION)
+            name, f = "epi", f.items[i - 1]
+        else:
+            raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+    return make_record(Transition, (name, make_record(SState, (f, stack)), cost))
 
 
 _TOP = frozenset()  # no name shadowed: the top of a term under an environment

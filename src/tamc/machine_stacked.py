@@ -23,9 +23,10 @@ term and its empty environment. The factory builds the rest, init,
 readback and the run loop included.
 
 States and stack entries are NamedTuples, like the records in
-`machine_common`: immutable, built at tuple speed, and compared as
-plain tuples, so Unev(t) == PendingFn(t); nothing in the library
-compares them.
+`machine_common`: immutable, and compared as plain tuples, so
+Unev(t) == PendingFn(t); nothing in the library compares them. The
+step dispatches on the exact type of the focus and the stack head and
+builds them with `make_record`, which takes every field.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .machine_common import (
     ProjFrame,
     RunRecord,
     Transition,
+    make_record,
     run_loop,
 )
 from .terms import (
@@ -114,115 +116,92 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
 
     def step(s: State) -> Transition | MachineFinal:
         f, env, cstack, astack = s
-        if isinstance(f, Unev):
+        cost = UNIT_COST
+        if type(f) is Unev:
             t = f.term
-            match t:
-                case App(fn=fn, arg=arg):
-                    return Transition(
-                        "usea1",
-                        State(Unev(arg), env, cstack + (PendingFn(fn),), astack),
-                        UNIT_COST,
-                    )
-                case Proj(index=i, arg=arg):
-                    return Transition(
-                        "usea2",
-                        State(Unev(arg), env, cstack + (ProjFrame(i),), astack),
-                        UNIT_COST,
-                    )
-                case Tuple(items=items) if items:
-                    entry = PartialTuple(items[:-1], ())
-                    return Transition(
-                        "usea3",
-                        State(Unev(items[-1]), env, cstack + (entry,), astack),
-                        Cost(1 + len(items)),
-                    )
-                case Tuple(items=()):
-                    return Transition(
-                        "usea4", State(Tuple(()), env, cstack, astack), UNIT_COST
-                    )
-                case Var() | PVar():
-                    val, pos = resolve(env, t)
-                    return Transition(
-                        "usubv",
-                        State(val, env, cstack, astack),
-                        Cost(1 + pos, lookup=pos, subv_lookup=pos),
-                    )
+            tt = type(t)
+            if tt is Var or tt is PVar:
+                name = "usubv"
+                f, pos = resolve(env, t)
+                cost = make_record(Cost, (1 + pos, 0, pos, pos))
+            elif tt is Tuple and t.items:
+                name, items = "usea3", t.items
+                f = make_record(Unev, (items[-1],))
+                cstack += (make_record(PartialTuple, (items[:-1], ())),)
+                cost = make_record(Cost, (1 + len(items), 0, 0, 0))
+            elif tt is App:
+                name, f = "usea1", make_record(Unev, (t.arg,))
+                cstack += (make_record(PendingFn, (t.fn,)),)
+            elif tt is Proj:
+                name, f = "usea2", make_record(Unev, (t.arg,))
+                cstack += (make_record(ProjFrame, (t.index,)),)
+            elif tt is Closure or tt is TClosure:
+                name = "usubw"
                 # Both closure classes list their two binder fields, the
                 # body and the bag, in that order.
-                case Closure(w, p, b, VarBag(vs)) | TClosure(w, p, b, PVarBag(vs)):
-                    resolved = []
-                    scanned = 0
-                    for v in vs:
-                        val, pos = resolve(env, v)
-                        resolved.append(val)
-                        scanned += pos
-                    value = type(t)(w, p, b, ValBag(tuple(resolved)))
-                    return Transition(
-                        "usubw",
-                        State(value, env, cstack, astack),
-                        Cost(1 + len(vs), lookup=scanned),
-                    )
-                case Closure(bag=ValBag(vals=())) | TClosure(bag=ValBag(vals=())):
-                    # canonical empty bag, nothing to resolve
-                    return Transition(
-                        "usubw", State(t, env, cstack, astack), UNIT_COST
-                    )
-                case Closure() | TClosure():
-                    raise MachineInvariantError("unevaluated closure with a non-empty value bag")
-            raise MachineInvariantError(f"not a stacked-machine term in focus: {t!r}")
-
-        if not cstack:
+                match t:
+                    case Closure(w, p, b, VarBag(vs)) | TClosure(w, p, b, PVarBag(vs)):
+                        resolved = []
+                        scanned = 0
+                        for v in vs:
+                            val, pos = resolve(env, v)
+                            resolved.append(val)
+                            scanned += pos
+                        f = tt(w, p, b, ValBag(tuple(resolved)))
+                        cost = make_record(Cost, (1 + len(vs), 0, scanned, 0))
+                    case Closure(bag=ValBag(vals=())) | TClosure(bag=ValBag(vals=())):
+                        f = t  # canonical empty bag, nothing to resolve
+                    case Closure(bag=ValBag()) | TClosure(bag=ValBag()):
+                        raise MachineInvariantError("unevaluated closure with a non-empty value bag")
+                    case _:  # a bag of the other calculus
+                        raise MachineInvariantError(f"not a stacked-machine term in focus: {t!r}")
+            elif tt is Tuple:
+                name, f = "usea4", t
+            else:
+                raise MachineInvariantError(f"not a stacked-machine term in focus: {t!r}")
+        elif not cstack:
             if not astack:
                 return MachineFinal("successful")
-            caller_cstack, caller_env = astack[-1]
-            return Transition(
-                "esea7",
-                State(f, caller_env, caller_cstack, astack[:-1]),
-                UNIT_COST,
-            )
-        head = cstack[-1]
-        rest = cstack[:-1]
-        match head:
-            case PendingFn(term=t):
-                return Transition(
-                    "esea1",
-                    State(Unev(t), env, rest + (ArgVal(f),), astack),
-                    UNIT_COST,
-                )
-            case PartialTuple(pending=pending, done=done):
+            name = "esea7"
+            (cstack, env), astack = astack[-1], astack[:-1]
+        else:
+            head, cstack = cstack[-1], cstack[:-1]
+            th = type(head)
+            if th is PartialTuple:
+                pending, done = head
                 if pending:
-                    entry = PartialTuple(pending[:-1], (f,) + done)
-                    return Transition(
-                        "esea6",
-                        State(Unev(pending[-1]), env, rest + (entry,), astack),
-                        UNIT_COST,
-                    )
-                items = (f,) + done
-                return Transition(
-                    "esea3", State(Tuple(items), env, rest, astack), Cost(1 + len(items))
-                )
-            case ProjFrame(index=i):
-                if isinstance(f, Tuple) and 1 <= i <= len(f.items):
-                    return Transition(
-                        "epi", State(f.items[i - 1], env, rest, astack), UNIT_COST
-                    )
-                return MachineFinal("clash", ClashKind.PROJECTION)
-            case ArgVal(value=v):
-                if isinstance(f, Tuple):
+                    cstack += (make_record(PartialTuple, (pending[:-1], (f,) + done)),)
+                    name, f = "esea6", make_record(Unev, (pending[-1],))
+                else:
+                    name, f = "esea3", Tuple((f,) + done)
+                    cost = make_record(Cost, (1 + len(f.items), 0, 0, 0))
+            elif th is PendingFn:
+                cstack += (make_record(ArgVal, (f,)),)
+                name, f = "esea1", make_record(Unev, head)  # a pending function has Unev's fields
+            elif th is ArgVal:
+                tf = type(f)
+                if tf is Tuple:
                     return MachineFinal("clash", ClashKind.TUPLE)
-                if isinstance(f, (Closure, TClosure)):
-                    if not isinstance(f.bag, ValBag):
-                        raise MachineInvariantError("applied closure still has a variable bag")
-                    installed = install(f, v.items) if isinstance(v, Tuple) else None
-                    if installed is not None:
-                        callee_env, elem = installed
-                        return Transition(
-                            "ebeta",
-                            State(Unev(f.body), callee_env, (), astack + ((rest, env),)),
-                            Cost(elem),
-                        )
+                if tf is not Closure and tf is not TClosure:
+                    raise MachineInvariantError(f"not a machine value in focus: {f!r}")
+                if type(f.bag) is not ValBag:
+                    raise MachineInvariantError("applied closure still has a variable bag")
+                v = head.value
+                installed = install(f, v.items) if type(v) is Tuple else None
+                if installed is None:
                     return MachineFinal("clash", ClashKind.ABS_OR_CLOSURE)
-        raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+                name, f = "ebeta", make_record(Unev, (f.body,))
+                astack += ((cstack, env),)  # the caller's frame
+                cstack, (env, elem) = (), installed
+                cost = make_record(Cost, (elem, 0, 0, 0))
+            elif th is ProjFrame:
+                i = head.index
+                if type(f) is not Tuple or not 1 <= i <= len(f.items):
+                    return MachineFinal("clash", ClashKind.PROJECTION)
+                name, f = "epi", f.items[i - 1]
+            else:
+                raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
+        return make_record(Transition, (name, make_record(State, (f, env, cstack, astack)), cost))
 
     def _plug(term, cstack: tuple, env, sub):
         for entry in reversed(cstack):

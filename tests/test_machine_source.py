@@ -8,7 +8,7 @@ means the machine moved, not the test.
 import pytest
 
 from tamc.calculi import ClashKind, StepLabel, Stepped, normalize_source, step_source
-from tamc.machine_common import MachineFinal
+from tamc.machine_common import ArgVal, MachineFinal, MachineInvariantError
 from tamc.machine_source import (
     SClos,
     SState,
@@ -241,3 +241,10 @@ def test_nested_closure_readback_carries_env():
     want = parse("fun(y) -> fun(z) -> z")
     assert alpha_eq_source(got, want)
     assert got == want
+
+
+def test_an_argument_against_a_non_value_focus_names_the_focus():
+    # Unreachable: the stack entry is valid, the focus is no machine value.
+    with pytest.raises(MachineInvariantError) as err:
+        step_stam(SState(Tuple(()), (ArgVal(STup(())),)))
+    assert str(err.value) == "not a machine value in focus: Tuple(items=())"

@@ -16,13 +16,13 @@ import pytest
 from tamc import machine_source, machine_stacked
 from tamc.calculi import subst_bags
 from tamc.generate import GenConfig, gen_corpus
-from tamc.machine_common import MachineFinal, MachineInvariantError, lookup
+from tamc.machine_common import ArgVal, MachineFinal, MachineInvariantError, lookup
 from tamc.machine_int import init_itam, readback_itam, run_itam, step_itam
 from tamc.machine_source import SState, STup, readback_stam
 from tamc.machine_stacked import PartialTuple, PendingFn, State, Unev
 from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
 from tamc.syntax import parse
-from tamc.terms import App, PVar, Tuple, Var
+from tamc.terms import App, Closure, PVar, PVarBag, TClosure, Tuple, Var, VarBag
 from tamc.transforms import closure_convert, wrap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -179,3 +179,25 @@ def test_readback_under_an_empty_environment_calls_no_substitution(
         readback(s, shared)
     assert any(s.astack for s in states) is calls_a_function
     assert calls == 0
+
+
+# Unreachable states whose fault is the focus, not the stack entry below it.
+@pytest.mark.parametrize("step", [step_itam, step_ttam], ids=["int", "target"])
+def test_an_argument_against_a_non_value_focus_names_the_focus(step):
+    with pytest.raises(MachineInvariantError) as err:
+        step(State(Var("x"), (), (ArgVal(Tuple(())),), ()))
+    assert str(err.value) == "not a machine value in focus: Var(name='x')"
+
+
+def test_an_intermediate_closure_with_a_target_bag_is_no_stacked_machine_term():
+    t = Closure((), (), Tuple(()), PVarBag((PVar("l", 1),)))
+    with pytest.raises(MachineInvariantError) as err:
+        step_itam(State(Unev(t), (), (), ()))
+    assert str(err.value) == f"not a stacked-machine term in focus: {t!r}"
+
+
+def test_a_target_closure_with_an_intermediate_bag_is_no_stacked_machine_term():
+    t = TClosure(1, 0, Tuple(()), VarBag((Var("a"),)))
+    with pytest.raises(MachineInvariantError) as err:
+        step_ttam(State(Unev(t), TupledEnv((Tuple(()),), ()), (), ()))
+    assert str(err.value) == f"not a stacked-machine term in focus: {t!r}"
