@@ -46,29 +46,8 @@ Fuel counts calculus steps for interpreters and transitions for
 machines, so machines get a generous multiple; if an interpreter run
 exhausts its fuel the machine walks check the common prefix and stop.
 
-Each walk reads back every state in full and compares it, but one
-readback memo serves the whole walk, so a readback reuses what earlier
-ones built instead of rebuilding the term from nothing. Each
-environment keeps one fold memo of the substitutions under it, keyed
-by the identity of the environment: the body of an activation is
-substituted once, at the first readback after the beta that installed
-its environment, and every later focus or pending term under that
-environment is one of the body's nodes, already in that fold memo; a
-variable resolves directly. The stacked machines also reuse the list
-of activation frames with a non-empty control stack, keyed by the
-identity of the activation stack, and the source machine reuses
-read-back values, keyed by their identity, and reads a closure's
-abstraction from its environment's fold memo. This is sound because
-every memo entry holds its key objects, so no id is reused while the
-memo lives; terms, environments, values and stack tuples are
-immutable; substitution and plugging are pure; and a node that no
-binder below its environment encloses, the only kind a fold memo
-holds, substitutes the same wherever it sits. A hit therefore
-returns exactly what recomputing would, and a transition that builds a
-different stack or environment builds new objects, which miss. The
-memo is dropped when the walk ends, and nothing in it refers to it.
-Reading back without a memo recomputes everything and is the oracle
-the tests compare with.
+One readback memo serves each walk; what it reuses and why a hit is
+exact are in the docstrings of `readback_stam` and the stacked `readback`.
 """
 
 from __future__ import annotations

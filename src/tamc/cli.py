@@ -132,11 +132,6 @@ def _stacks(state) -> tuple[tuple, tuple | None]:
     raise TypeError(f"not a machine state: {state!r}")
 
 
-def _depths(state) -> tuple[int, int]:
-    cstack, astack = _stacks(state)
-    return len(cstack), len(astack or ())
-
-
 def _entry_summary(e) -> str:
     name = type(e).__name__
     match e:
@@ -187,9 +182,9 @@ def _cmd_run(args) -> int:
                 _dump_state(shown, r.state)
             else:
                 label = PRINCIPAL[r.name].value if r.name in PRINCIPAL else "-"
-                cdepth, adepth = _depths(r.state)
+                cstack, astack = _stacks(r.state)
                 summary = _focus_summary(r.state)
-                print(f"{shown}\t{r.name}\t{label}\t{summary}\t{cdepth}\t{adepth}")
+                print(f"{shown}\t{r.name}\t{label}\t{summary}\t{len(cstack)}\t{len(astack or ())}")
         return r
 
     rec = run_loop(show if args.dump_states or args.trace else m.step, m.measure, state, fuel)

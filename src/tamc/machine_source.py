@@ -242,8 +242,14 @@ def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
     environment, and every later focus, pending term or closure under
     that environment is a hit; no object is both a value and an
     environment. Each entry holds its keyed object, so no id is reused
-    while the memo lives. Without a memo each readback starts afresh,
-    reading each value once and substituting each term in full.
+    while the memo lives. Terms, environments, values and stack tuples
+    are immutable, reading back is pure, and a fold memo holds only
+    nodes that no binder below their environment encloses, which
+    substitute the same wherever they sit; so a hit is what recomputing
+    would give, and a transition that builds a different stack or
+    environment builds new objects, which miss. Without a memo each
+    readback starts afresh, reading each value once and substituting
+    each term in full.
     """
     scopes = memo
     if memo is None:

@@ -203,21 +203,6 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
                 raise MachineInvariantError(f"unrecognized stack entry: {head!r}")
         return make_record(Transition, (name, make_record(State, (f, env, cstack, astack)), cost))
 
-    def _plug(term, cstack: tuple, env, sub):
-        for entry in reversed(cstack):
-            te = type(entry)
-            if te is PendingFn:
-                term = App(sub(entry.term, env), term)
-            elif te is ArgVal:
-                term = App(term, entry.value)
-            elif te is ProjFrame:
-                term = Proj(entry.index, term)
-            elif te is PartialTuple:
-                term = Tuple(tuple([sub(p, env) for p in entry.pending]) + (term,) + entry.done)
-            else:
-                raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
-        return term
-
     def readback(s: State, memo: dict | None = None):
         """The term that state s stands for.
 
@@ -246,31 +231,30 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
         f = s.focus
         # values are closed, the environment is irrelevant
         term = sub(f.term, s.env) if type(f) is Unev else f
-        term = _plug(term, s.cstack, s.env, sub)
-        for caller_cstack, caller_env in frames:
-            term = _plug(term, caller_cstack, caller_env, sub)
+        for cstack, env in ((s.cstack, s.env), *frames):  # innermost segment first
+            for entry in reversed(cstack):
+                te = type(entry)
+                if te is PendingFn:
+                    term = App(sub(entry.term, env), term)
+                elif te is ArgVal:
+                    term = App(term, entry.value)
+                elif te is ProjFrame:
+                    term = Proj(entry.index, term)
+                elif te is PartialTuple:
+                    term = Tuple(tuple([sub(p, env) for p in entry.pending]) + (term,) + entry.done)
+                else:
+                    raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")
         return term
 
-    def _overhead(entries: tuple) -> int:
-        total = 0
-        for entry in entries:
-            match entry:
-                case PendingFn(term=t):
-                    total += size_int(t)
-                case PartialTuple(pending=pending):
-                    total += len(pending)
-                    total += sum(size_int(p) for p in pending)
-                case _:
-                    pass
-        return total
-
     def measure(s: State) -> int:
-        total = 0
-        if isinstance(s.focus, Unev):
-            total += size_int(s.focus.term)
-        total += _overhead(s.cstack)
-        for caller_cstack, _ in s.astack:
-            total += _overhead(caller_cstack)
+        total = size_int(s.focus.term) if type(s.focus) is Unev else 0
+        for cstack, _ in ((s.cstack, s.env), *s.astack):
+            for entry in cstack:
+                te = type(entry)
+                if te is PendingFn:
+                    total += size_int(entry.term)
+                elif te is PartialTuple:
+                    total += len(entry.pending) + sum(map(size_int, entry.pending))
         return total
 
     def run(t, fuel: int = DEFAULT_FUEL, record_measure: bool = False) -> RunRecord:

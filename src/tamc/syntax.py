@@ -61,35 +61,32 @@ _TOKEN = re.compile(
 _KEYWORDS = ("fun", "pi")
 
 
+def _error(src: str, message: str, offset: int) -> ParseError:
+    """The ParseError for message at offset in src, positioned by line and column."""
+    return ParseError(message, src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset))
+
+
 def _tokenize(src: str):
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
         if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, pos - line_start + 1)
+            raise _error(src, f"unexpected character {src[pos]!r}", pos)
         kind = m.lastgroup
-        text = m.group()
-        if kind == "ws":
-            line += text.count("\n")
-            if "\n" in text:
-                line_start = pos + text.rindex("\n") + 1
-        else:
-            col = pos - line_start + 1
-            if kind == "ident" and text in _KEYWORDS:
+        if kind != "ws":
+            text = m.group()
+            if kind == "punct" or kind == "ident" and text in _KEYWORDS:
                 kind = text
-            elif kind == "punct":
-                kind = text
-            tokens.append((kind, text, line, col))
+            tokens.append((kind, text, pos))
         pos = m.end()
-    tokens.append(("eof", "", line, len(src) - line_start + 1))
+    tokens.append(("eof", "", len(src)))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -102,14 +99,13 @@ class _Parser:
         return tok
 
     def expect(self, kind: str):
-        tok = self.next()
+        tok = self.peek()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-        return tok
+            self.fail(f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
+        return self.next()
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        raise _error(self.src, message, self.peek()[2])
 
     def term(self) -> SourceTerm:
         if self.peek()[0] == "fun":
@@ -127,7 +123,7 @@ class _Parser:
             try:
                 return Abs(tuple(params), body)
             except ValueError as e:
-                raise ParseError(str(e), tok[2], tok[3]) from None
+                raise _error(self.src, str(e), tok[2]) from None
         return self.app()
 
     def app(self) -> SourceTerm:
@@ -137,7 +133,7 @@ class _Parser:
         return t
 
     def punit(self) -> SourceTerm:
-        kind, text, line, col = self.peek()
+        kind, text, _ = self.peek()
         if kind == "pi":
             self.next()
             idx = self.expect("int")
@@ -169,7 +165,7 @@ def parse(src: str) -> SourceTerm:
     t = p.term()
     tok = p.peek()
     if tok[0] != "eof":
-        raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2], tok[3])
+        p.fail(f"trailing input starting at {tok[1]!r}")
     return t
 
 

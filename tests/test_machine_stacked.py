@@ -17,13 +17,16 @@ from tamc import machine_source, machine_stacked
 from tamc.calculi import subst_bags
 from tamc.generate import GenConfig, gen_corpus
 from tamc.machine_common import ArgVal, MachineFinal, MachineInvariantError, lookup
-from tamc.machine_int import init_itam, readback_itam, run_itam, step_itam
+from tamc.machine_int import init_itam, measure_itam, readback_itam, run_itam, step_itam
 from tamc.machine_source import SState, STup, readback_stam
 from tamc.machine_stacked import PartialTuple, PendingFn, State, Unev
-from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
+from tamc.machine_target import (
+    TupledEnv, init_ttam, measure_ttam, readback_ttam, run_ttam, step_ttam,
+)
 from tamc.syntax import parse
-from tamc.terms import App, Closure, PVar, PVarBag, TClosure, Tuple, Var, VarBag
+from tamc.terms import App, Closure, PVar, PVarBag, TClosure, Tuple, Var, VarBag, size_int
 from tamc.transforms import closure_convert, wrap
+from test_step_oracle import church_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -201,3 +204,50 @@ def test_a_target_closure_with_an_intermediate_bag_is_no_stacked_machine_term():
     with pytest.raises(MachineInvariantError) as err:
         step_ttam(State(Unev(t), TupledEnv((Tuple(()),), ()), (), ()))
     assert str(err.value) == f"not a stacked-machine term in focus: {t!r}"
+
+
+# The overhead measure, exactly: the code still pending in the focus and
+# in every control-stack segment, the current one and each caller's. The
+# reference sums each segment with its own helper.
+
+
+def _reference_overhead(entries: tuple) -> int:
+    total = 0
+    for entry in entries:
+        match entry:
+            case PendingFn(term=t):
+                total += size_int(t)
+            case PartialTuple(pending=pending):
+                total += len(pending)
+                total += sum(size_int(p) for p in pending)
+            case _:
+                pass
+    return total
+
+
+def _reference_measure(s: State) -> int:
+    total = 0
+    if isinstance(s.focus, Unev):
+        total += size_int(s.focus.term)
+    total += _reference_overhead(s.cstack)
+    for caller_cstack, _ in s.astack:
+        total += _reference_overhead(caller_cstack)
+    return total
+
+
+@pytest.mark.parametrize(
+    "translate,init,step,measure",
+    [(wrap, init_itam, step_itam, measure_itam), (closure_convert, init_ttam, step_ttam, measure_ttam)],
+    ids=["int", "target"],
+)
+def test_measure_is_the_pending_code_of_every_segment(translate, init, step, measure):
+    programs = [(u, 3_000 if name == "omega.lam" else 100_000) for name, u, _ in _programs(200)]
+    programs.append((parse(church_program(3, 3, "id")), 100_000))
+    states = pending_callers = 0
+    for u, fuel in programs:
+        for s in _states(init(translate(u)), step, fuel):
+            assert measure(s) == _reference_measure(s), s
+            states += 1
+            pending_callers += any(_reference_overhead(cstack) for cstack, _ in s.astack)
+    assert states > 5_000
+    assert pending_callers > 0

@@ -111,10 +111,39 @@ def test_duplicate_params_reported_with_position():
     assert "1:" in str(exc.value)
 
 
-def test_error_position_on_later_line():
+# A column counts characters from the line's start, so a tab or a CR
+# before the error is one column and "\r\n" ends its line at the "\n".
+@pytest.mark.parametrize(
+    "src,line,col,message",
+    [
+        ("fun(x) ->\n  @", 2, 3, "unexpected character '@'"),
+        ("fun(x) ->\r\n  x\r\n\t$", 3, 2, "unexpected character '$'"),
+        ("fun(x)\n  # no arrow yet\n  x", 3, 3, "expected 'arrow', found 'x'"),
+        ("# a comment line\n\tpi x", 2, 5, "expected 'int', found 'x'"),
+        ("fun(x\n", 2, 1, "expected ')', found 'end of input'"),
+        ("<x,\n\t>", 2, 2, "expected a term, found '>'"),
+        ("fun(x) -> x <\n", 2, 1, "expected a term, found 'end of input'"),
+        ("fun(x) -> x\r\n)", 2, 1, "trailing input starting at ')'"),
+        ("(fun(a) -> a)\n  <fun(x,\n x) -> x>", 2, 4, "duplicate parameters: ['x', 'x']"),
+    ],
+    ids=[
+        "unexpected-character",
+        "unexpected-character-crlf-tab",
+        "expected-kind-after-comment",
+        "expected-kind-comment-line-tab",
+        "expected-kind-at-end-after-newline",
+        "expected-a-term-tab",
+        "expected-a-term-at-end-after-newline",
+        "trailing-input-crlf",
+        "duplicate-parameters",
+    ],
+)
+def test_error_position_on_later_line(src, line, col, message):
     with pytest.raises(ParseError) as exc:
-        parse("fun(x) ->\n  @")
-    assert "2:3" in str(exc.value)
+        parse(src)
+    assert f"{line}:{col}" in str(exc.value)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 @pytest.mark.parametrize(
