@@ -45,34 +45,31 @@ from .terms import (
 from .transforms import closure_convert, wrap
 
 
-def _fail_usage(msg: str) -> int:
-    print(f"tamc: {msg}", file=sys.stderr)
-    return 2
+class _Usage(Exception):
+    """A usage problem; main prints it after "tamc: " and exits 2."""
 
 
 def _read_term(path: str):
-    """Parse one .lam file; returns a term or an int exit code."""
+    """Parse one .lam file; _Usage if it cannot be read, and a ParseError propagates."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
-        return _fail_usage(f"cannot read {path}: {e.strerror or e}")
+        raise _Usage(f"cannot read {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
-        return _fail_usage(f"cannot read {path}: {e}")
-    try:
-        return parse(text)
-    except ParseError as e:
-        print(f"{path}:{e}", file=sys.stderr)
-        return 2
+        raise _Usage(f"cannot read {path}: {e}")
+    return parse(text)
 
 
-def _fuel(flag: int | None, default: int) -> int | None:
-    """--fuel, else TAMC_FUEL, else default; None unless a positive integer."""
+def _fuel(flag: int | None, default: int) -> int:
+    """--fuel, else TAMC_FUEL, else default; _Usage unless a positive integer."""
     try:
         fuel = int(flag if flag is not None else os.environ.get("TAMC_FUEL", default))
     except ValueError:
-        return None
-    return fuel if fuel > 0 else None
+        fuel = 0
+    if fuel <= 0:
+        raise _Usage("fuel must be a positive integer")
+    return fuel
 
 
 def _brief(t, budget: int = 14) -> str:
@@ -158,14 +155,10 @@ def _dump_state(step_no: int, state) -> None:
 
 def _cmd_run(args) -> int:
     t = _read_term(args.file)
-    if isinstance(t, int):
-        return t
     free = free_vars(t)
     if free:
-        return _fail_usage(f"{args.file}: term is open (free: {', '.join(v.name for v in free)})")
+        raise _Usage(f"{args.file}: term is open (free: {', '.join(v.name for v in free)})")
     fuel = _fuel(args.fuel, DEFAULT_FUEL)
-    if fuel is None:
-        return _fail_usage("fuel must be a positive integer")
     m = MACHINES[args.machine]
     state = m.init(m.translate(t))
     if args.dump_states:
@@ -200,35 +193,29 @@ def _cmd_run(args) -> int:
 
 def _cmd_convert(args) -> int:
     t = _read_term(args.file)
-    if isinstance(t, int):
-        return t
     if args.to == "int":
         print(print_int(wrap(t)))
         return 0
     try:
         ct = closure_convert(t)
     except ValueError as e:
-        return _fail_usage(f"{args.file}: {e}")
+        raise _Usage(f"{args.file}: {e}")
     print(print_target(ct))
     return 0
 
 
 def _cmd_bisim(args) -> int:
     fuel = _fuel(args.fuel, DEFAULT_BISIM_FUEL)
-    if fuel is None:
-        return _fail_usage("fuel must be a positive integer")
     if args.count < 0:
-        return _fail_usage("count must be a non-negative integer")
+        raise _Usage("count must be a non-negative integer")
     terms = []
     if args.files:
         for path in args.files:
             # main names args.file when the input is nested too deeply
             args.file = path
             t = _read_term(path)
-            if isinstance(t, int):
-                return t
             if free_vars(t):
-                return _fail_usage(f"{path}: term is open")
+                raise _Usage(f"{path}: term is open")
             terms.append(t)
     else:
         terms = gen_corpus(GenConfig(seed=args.seed), args.count)
@@ -248,19 +235,13 @@ def _cmd_bisim(args) -> int:
 
 def _cmd_bench(args) -> int:
     fuel = _fuel(args.fuel, DEFAULT_FUEL)
-    if fuel is None:
-        return _fail_usage("fuel must be a positive integer")
     if args.n_max < 0:
-        return _fail_usage("n-max must be a non-negative integer")
+        raise _Usage("n-max must be a non-negative integer")
     rows = []
     for n in range(1, args.n_max + 1):
         # main names args.file when the instance is nested too deeply
         args.file = f"{args.family} n={n}"
-        try:
-            rows += bench(args.family, (n,), fuel=fuel)
-        except OutOfFuelError as e:
-            print(f"tamc: {e}", file=sys.stderr)
-            return 1
+        rows += bench(args.family, (n,), fuel=fuel)
     if args.machine != "all":
         rows = [r for r in rows if r.machine == args.machine]
     if args.csv:
@@ -268,7 +249,7 @@ def _cmd_bench(args) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as f:
                 write_bench_csv(rows, f)
         except OSError as e:
-            return _fail_usage(f"cannot write {args.csv}: {e.strerror or e}")
+            raise _Usage(f"cannot write {args.csv}: {e.strerror or e}")
     else:
         write_bench_csv(rows, sys.stdout)
     return 0
@@ -276,8 +257,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_metrics(args) -> int:
     t = _read_term(args.file)
-    if isinstance(t, int):
-        return t
     m = metrics(t)
     free = free_vars(t)
     closed = "yes" if not free else "no"
@@ -336,6 +315,15 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
+    except _Usage as e:
+        print(f"tamc: {e}", file=sys.stderr)
+        return 2
+    except ParseError as e:
+        print(f"{args.file}:{e}", file=sys.stderr)
+        return 2
+    except OutOfFuelError as e:
+        print(f"tamc: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader of stdout has gone (e.g. `| head`). Point stdout at
         # devnull so that flushing it at exit cannot fail a second time.
@@ -343,8 +331,9 @@ def main(argv=None) -> int:
         return 1
     except RecursionError:
         # The parser and the terms' == and hash recurse: deep input exhausts the stack.
-        where = getattr(args, "file", None)
-        return _fail_usage(f"{where}: input nested too deeply" if where else "input nested too deeply")
+        where = f"{args.file}: " if getattr(args, "file", None) else ""
+        print(f"tamc: {where}input nested too deeply", file=sys.stderr)
+        return 2
     except MachineInvariantError as e:
         print(f"tamc: internal error: {e}", file=sys.stderr)
         return 3

@@ -280,19 +280,13 @@ def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
 
 def measure_stam(s: SState) -> int:
     """Overhead measure: total size of unevaluated source material."""
-    total = 0
-    f = s.focus
-    if isinstance(f, Unev):
-        total += shared_size_source(f.term)
+    total = shared_size_source(s.focus.term) if type(s.focus) is Unev else 0
     for entry in s.stack:
-        match entry:
-            case PendingFn(term=t):
-                total += shared_size_source(t)
-            case PartialTuple(pending=pending):
-                total += len(pending)
-                total += sum(shared_size_source(p) for p in pending)
-            case _:
-                pass
+        te = type(entry)
+        if te is PendingFn:
+            total += shared_size_source(entry.term)
+        elif te is PartialTuple:
+            total += len(entry.pending) + sum(map(shared_size_source, entry.pending))
     return total
 
 

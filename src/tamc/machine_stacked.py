@@ -74,6 +74,9 @@ class State(NamedTuple):
     astack: tuple  # of (cstack, env) caller frames, most recent last
 
 
+_LIVE = object()  # the readback memo's key of the current activation stack
+
+
 def stacked_machine(*, resolve, install, well_formed, closed, empty):
     """The machine over one environment representation: (init, step, measure, readback, run).
 
@@ -212,22 +215,25 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
         substitutions under env), so the body of an activation is
         substituted once, at the first readback under its environment,
         and every later focus or pending term under that environment is
-        a hit; a variable resolves directly. id(astack) maps to (astack,
-        its frames with a non-empty control stack, innermost first); no
-        object is both an environment and a stack. Holding the keyed
-        objects keeps their ids from being reused while the memo lives;
-        terms, environments and stacks are immutable and substitution
-        is pure and does not depend on where a term sits, so a hit is
-        what recomputing would give. Without a memo nothing is reused.
+        a hit; a variable resolves directly. Holding the keyed objects
+        keeps their ids from being reused while the memo lives; terms
+        and environments are immutable and substitution is pure and
+        does not depend on where a term sits, so a hit is what
+        recomputing would give. _LIVE maps to the last activation stack
+        read back and its frames with a non-empty control stack,
+        innermost first. ebeta and esea7 each build a new stack, so a
+        run never returns to one it left but the empty one, which has no
+        frames: keeping one stack loses no hit and keeps the memo linear
+        in the depth. Without a memo nothing is reused.
         """
         sub = partial(substitute, memo)
         if memo is None:
             frames = reversed(s.astack)
         else:
-            hit = memo.get(id(s.astack))
-            if hit is None:
-                hit = memo[id(s.astack)] = (s.astack, list(filter(itemgetter(0), reversed(s.astack))))
-            frames = hit[1]
+            astack, frames = memo.get(_LIVE, ((), ()))
+            if s.astack is not astack:
+                frames = list(filter(itemgetter(0), reversed(s.astack)))
+                memo[_LIVE] = (s.astack, frames)
         f = s.focus
         # values are closed, the environment is irrelevant
         term = sub(f.term, s.env) if type(f) is Unev else f

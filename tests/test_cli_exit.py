@@ -68,10 +68,21 @@ def test_bisim_names_the_file_nested_too_deeply(tmp_path):
     assert proc.stderr == b"tamc: deep.lam: input nested too deeply\n"
 
 
-def test_parse_error_names_the_place_without_a_prefix(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "F"],
+        ["convert", "F", "--to", "int"],
+        ["convert", "F", "--to", "target"],
+        ["metrics", "F"],
+        ["bisim", str(ROOT / "corpus" / "identity.lam"), "F"],
+    ],
+    ids=["run", "convert-int", "convert-target", "metrics", "bisim-second-file"],
+)
+def test_parse_error_names_the_place_without_a_prefix(argv, tmp_path, capsys):
     bad = tmp_path / "F.lam"
     bad.write_text("fun(")
-    assert main(["run", str(bad)]) == 2
+    assert main([str(bad) if a == "F" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{bad}:1:5: expected ')', found 'end of input'\n"

@@ -7,12 +7,15 @@ tests check that the memo never changes a readback, that it cannot hide
 a broken machine from the walk, and that it really shares the work.
 """
 
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from tamc import bisim, machine_source, machine_stacked
 from tamc.bisim import bisim_check
+from tamc.calculi import step_int, step_target
 from tamc.generate import GenConfig, gen_corpus
 from tamc.machine_common import MachineFinal, Transition
 from tamc.machine_int import init_itam, readback_itam, run_itam, step_itam
@@ -21,7 +24,7 @@ from tamc.machine_stacked import PendingFn, ProjFrame, Unev
 from tamc.machine_target import TupledEnv, init_ttam, readback_ttam, run_ttam, step_ttam
 from tamc.syntax import parse
 from tamc.terms import Proj, Var
-from tamc.transforms import closure_convert, wrap
+from tamc.transforms import closure_convert, eliminate_names, wrap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 OMEGA = parse((CORPUS / "omega.lam").read_text())
@@ -301,3 +304,38 @@ def test_memo_substitutes_each_activation_once(monkeypatch, text, fuel, machine,
         readback(state, memo)
     assert beta > 0
     assert 0 < len(calls) <= beta + 1, (len(calls), beta)
+
+
+# Memory, measured: a walk's readback memo keeps the live frames of the
+# current activation stack only, so doubling an omega walk, whose stack
+# grows by one frame per beta, about doubles its peak. Kept per stack,
+# the frame lists would grow quadratically.
+
+
+def _walk_peak(machine: str, fuel: int, machine_fuel: int) -> int:
+    wu = wrap(OMEGA)
+    if machine == "int":
+        u, interp, init, step, readback = wu, step_int, init_itam, step_itam, readback_itam
+    else:
+        u, interp, init = eliminate_names(wu, (), ()), step_target, init_ttam
+        step, readback = step_ttam, readback_ttam
+    terms, labels, final = bisim._interp_trajectory(interp, u, fuel)
+    state = init(u)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        failures = bisim._machine_walk(
+            state, step, readback, terms, labels, bisim._outcome_str(final), machine_fuel, machine
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == []
+    return peak
+
+
+@pytest.mark.parametrize("machine", ["int", "target"])
+def test_walk_memory_grows_linearly_in_omega_betas(machine):
+    small = _walk_peak(machine, 1_000, 7_000)
+    large = _walk_peak(machine, 2_000, 14_000)
+    assert large <= 3.0 * small, (small, large)
