@@ -273,7 +273,10 @@ def _as_is(t):
 
 MACHINES = {
     "source": Machine(_as_is, init_stam, step_stam, measure_stam, readback_stam, _as_is),
-    "int": Machine(wrap, init_itam, step_itam, measure_itam, readback_itam, unwrap),
+    # a fresh memo keeps a result the machine shares shared
+    "int": Machine(
+        wrap, init_itam, step_itam, measure_itam, readback_itam, lambda t: unwrap(t, {})
+    ),
     "target": Machine(
         closure_convert, init_ttam, step_ttam, measure_ttam, readback_ttam, reverse_convert
     ),

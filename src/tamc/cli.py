@@ -61,6 +61,15 @@ def _read_term(path: str):
     return parse(text)
 
 
+def _read_closed(path: str):
+    """_read_term, then _Usage naming the free variables if the term is open."""
+    t = _read_term(path)
+    free = free_vars(t)
+    if free:
+        raise _Usage(f"{path}: term is open (free: {', '.join(v.name for v in free)})")
+    return t
+
+
 def _fuel(flag: int | None, default: int) -> int:
     """--fuel, else TAMC_FUEL, else default; _Usage unless a positive integer."""
     try:
@@ -154,10 +163,7 @@ def _dump_state(step_no: int, state) -> None:
 
 
 def _cmd_run(args) -> int:
-    t = _read_term(args.file)
-    free = free_vars(t)
-    if free:
-        raise _Usage(f"{args.file}: term is open (free: {', '.join(v.name for v in free)})")
+    t = _read_closed(args.file)
     fuel = _fuel(args.fuel, DEFAULT_FUEL)
     m = MACHINES[args.machine]
     state = m.init(m.translate(t))
@@ -192,15 +198,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    t = _read_term(args.file)
     if args.to == "int":
-        print(print_int(wrap(t)))
-        return 0
-    try:
-        ct = closure_convert(t)
-    except ValueError as e:
-        raise _Usage(f"{args.file}: {e}")
-    print(print_target(ct))
+        print(print_int(wrap(_read_term(args.file))))
+    else:
+        print(print_target(closure_convert(_read_closed(args.file))))
     return 0
 
 
@@ -213,10 +214,7 @@ def _cmd_bisim(args) -> int:
         for path in args.files:
             # main names args.file when the input is nested too deeply
             args.file = path
-            t = _read_term(path)
-            if free_vars(t):
-                raise _Usage(f"{path}: term is open")
-            terms.append(t)
+            terms.append(_read_closed(path))
     else:
         terms = gen_corpus(GenConfig(seed=args.seed), args.count)
     bad = 0

@@ -169,73 +169,73 @@ def _same(term):
     return term
 
 
-def _value(memo: dict, scopes: dict | None, u):
-    """The leaf rule of machine values, with _read's memo and scopes."""
+def _value(memo: dict, u):
+    """The leaf rule of machine values, with _read's memo."""
     if type(u) is STup:
         return Parts(u.items, None, memo, lambda *items: Tuple(items))
     if type(u) is SClos:
         if not u.env:
             return u.abs
-        scope = context_memo(scopes, id(u.env), u.env)
-        return Parts((u.abs,), partial(_under, memo, scopes, u.env, _TOP), scope, _same)
+        scope = context_memo(memo, id(u.env), u.env)
+        return Parts((u.abs,), partial(_under, memo, u.env, _TOP), scope, _same)
     raise MachineInvariantError(f"not a machine value: {u!r}")
 
 
-def _under(memo: dict, scopes: dict | None, env: tuple, shadow: frozenset, u):
+def _under(memo: dict, env: tuple, shadow: frozenset, u):
     """The leaf rule of substitution under env, the names in shadow bound above u."""
     if type(u) is Var:
         if u.name in shadow:
             return u
         v = lookup(env, u)[0]
         hit = memo.get(id(v))  # a value read back before is not requested again
-        return Parts((v,), partial(_value, memo, scopes), memo, _same) if hit is None else hit[1]
+        return Parts((v,), partial(_value, memo), memo, _same) if hit is None else hit[1]
     if type(u) is Abs:
-        inner = partial(_under, memo, scopes, env, shadow | {p.name for p in u.params})
+        inner = partial(_under, memo, env, shadow | {p.name for p in u.params})
         return Parts((u.body,), inner, None, lambda body: Abs(u.params, body))
     raise MachineInvariantError(f"not a source term: {u!r}")
 
 
-def _read(memo: dict, scopes: dict | None, v: SValue) -> SourceTerm:
+def _read(memo: dict, v: SValue) -> SourceTerm:
     """The source term of machine value v.
 
     memo maps id(v) to (v, its term) for every value read back, and
-    holding v keeps its id from being reused. scopes, when given, maps
     id(env) to (env, the fold memo of the substitutions under env),
-    which values closed under env share; without it every substitution
-    starts afresh.
+    which values closed under env share; holding the keyed object keeps
+    its id from being reused.
     """
     hit = memo.get(id(v))
-    return hit[1] if hit is not None else fold(v, partial(_value, memo, scopes), None, memo)
+    return hit[1] if hit is not None else fold(v, partial(_value, memo), None, memo)
 
 
-def _subst(memo: dict, scopes: dict | None, t: SourceTerm, env: tuple) -> SourceTerm:
+def _subst(memo: dict, t: SourceTerm, env: tuple) -> SourceTerm:
     """t with env's bindings resolved, innermost first, in one shadow-aware pass.
 
     Values in environments are closed once read back, and an empty env
-    leaves t, which the closure invariant makes closed. With scopes, a
-    term substituted under env before is a hit and a variable resolves
+    leaves t, which the closure invariant makes closed. A term
+    substituted under env before is a hit, and a variable resolves
     directly.
     """
     if not env:
         return t
-    if scopes is not None and type(t) is Var:
-        return _read(memo, scopes, lookup(env, t)[0])
-    scope = context_memo(scopes, id(env), env)
-    if scope is not None and id(t) in scope:
+    if type(t) is Var:
+        return _read(memo, lookup(env, t)[0])
+    scope = context_memo(memo, id(env), env)
+    if id(t) in scope:
         return scope[id(t)][1]
-    return fold(t, partial(_under, memo, scopes, env, _TOP), None, scope)
+    return fold(t, partial(_under, memo, env, _TOP), None, scope)
 
 
 def readback_value(v: SValue) -> SourceTerm:
     """The source term of machine value v."""
-    return _read({}, None, v)
+    return _read({}, v)
 
 
 def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
     """The term that state s stands for.
 
     memo is the readback memo; pass one dict to every readback of one
-    run to reuse what earlier readbacks built. id(v) maps to (v, its
+    run to reuse what earlier readbacks built, or none for a fresh one
+    that shares work within this readback only. id(v) maps to (v, its
     term) for every machine value read back, and id(env) to (env, the
     fold memo of the substitutions under env), so the body of an
     activation is substituted once, at the first readback under its
@@ -247,31 +247,28 @@ def readback_stam(s: SState, memo: dict | None = None) -> SourceTerm:
     nodes that no binder below their environment encloses, which
     substitute the same wherever they sit; so a hit is what recomputing
     would give, and a transition that builds a different stack or
-    environment builds new objects, which miss. Without a memo each
-    readback starts afresh, reading each value once and substituting
-    each term in full.
+    environment builds new objects, which miss.
     """
-    scopes = memo
     if memo is None:
         memo = {}
     f = s.focus
     if type(f) is Unev:
-        term = _subst(memo, scopes, f.term, f.env)
+        term = _subst(memo, f.term, f.env)
     else:
-        term = _read(memo, scopes, f)
+        term = _read(memo, f)
     for entry in reversed(s.stack):
         te = type(entry)
         if te is PendingFn:
-            term = App(_subst(memo, scopes, entry.term, entry.env), term)
+            term = App(_subst(memo, entry.term, entry.env), term)
         elif te is ArgVal:
-            term = App(term, _read(memo, scopes, entry.value))
+            term = App(term, _read(memo, entry.value))
         elif te is ProjFrame:
             term = Proj(entry.index, term)
         elif te is PartialTuple:
             env = entry.env
-            items = [_subst(memo, scopes, p, env) for p in entry.pending]
+            items = [_subst(memo, p, env) for p in entry.pending]
             items.append(term)
-            items += [_read(memo, scopes, v) for v in entry.done]
+            items += [_read(memo, v) for v in entry.done]
             term = Tuple(tuple(items))
         else:
             raise MachineInvariantError(f"unrecognized stack entry: {entry!r}")

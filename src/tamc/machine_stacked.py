@@ -107,13 +107,13 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
         return State(Unev(t), empty, (), ())
 
     def substitute(memo, t, env):
-        """t with env's bindings resolved; memo as in readback, or None to substitute afresh."""
+        """t with env's bindings resolved; memo as in readback."""
         if env == empty:
             return t
-        if memo is not None and (type(t) is Var or type(t) is PVar):
+        if type(t) is Var or type(t) is PVar:
             return resolve(env, t)[0]
         scope = context_memo(memo, id(env), env)  # env's fold memo
-        if scope is not None and id(t) in scope:
+        if id(t) in scope:
             return scope[id(t)][1]
         return subst_bags(t, lambda v: resolve(env, v)[0], scope)
 
@@ -209,13 +209,13 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
     def readback(s: State, memo: dict | None = None):
         """The term that state s stands for.
 
-        memo, when given, is a dict that one caller passes to every
-        readback of one run, and lets a readback reuse what earlier
-        ones built. id(env) maps to (env, the fold memo of the
-        substitutions under env), so the body of an activation is
-        substituted once, at the first readback under its environment,
-        and every later focus or pending term under that environment is
-        a hit; a variable resolves directly. Holding the keyed objects
+        memo is a dict that one caller passes to every readback of one
+        run, and lets a readback reuse what earlier ones built. id(env)
+        maps to (env, the fold memo of the substitutions under env), so
+        the body of an activation is substituted once, at the first
+        readback under its environment, and every later focus or pending
+        term under that environment is a hit; a variable resolves
+        directly. Holding the keyed objects
         keeps their ids from being reused while the memo lives; terms
         and environments are immutable and substitution is pure and
         does not depend on where a term sits, so a hit is what
@@ -224,16 +224,16 @@ def stacked_machine(*, resolve, install, well_formed, closed, empty):
         innermost first. ebeta and esea7 each build a new stack, so a
         run never returns to one it left but the empty one, which has no
         frames: keeping one stack loses no hit and keeps the memo linear
-        in the depth. Without a memo nothing is reused.
+        in the depth. Without a memo a readback makes a fresh one, and
+        reuses nothing from earlier readbacks.
         """
-        sub = partial(substitute, memo)
         if memo is None:
-            frames = reversed(s.astack)
-        else:
-            astack, frames = memo.get(_LIVE, ((), ()))
-            if s.astack is not astack:
-                frames = list(filter(itemgetter(0), reversed(s.astack)))
-                memo[_LIVE] = (s.astack, frames)
+            memo = {}
+        sub = partial(substitute, memo)
+        astack, frames = memo.get(_LIVE, ((), ()))
+        if s.astack is not astack:
+            frames = list(filter(itemgetter(0), reversed(s.astack)))
+            memo[_LIVE] = (s.astack, frames)
         f = s.focus
         # values are closed, the environment is irrelevant
         term = sub(f.term, s.env) if type(f) is Unev else f

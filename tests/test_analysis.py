@@ -10,6 +10,7 @@ import io
 import pytest
 
 from tamc.analysis import (
+    MACHINES,
     OutOfFuelError,
     audit_measure,
     bench,
@@ -38,7 +39,9 @@ from tamc.machine_int import run_itam
 from tamc.machine_source import readback_value, run_stam
 from tamc.machine_target import run_ttam
 from tamc.syntax import parse, print_source
-from tamc.terms import Closure, Tuple, ValBag, Var, metrics, shared_size_source, size_int
+from tamc.terms import (
+    Abs, App, Closure, Proj, Tuple, ValBag, Var, metrics, shared_size_source, size_int,
+)
 from tamc.transforms import closure_convert, eliminate_names, reverse_convert, unwrap, wrap
 
 
@@ -116,6 +119,35 @@ def test_unfolded_size_stays_cheap_at_large_n():
     assert unfolded_size_from_int(irec.final_state.focus) == tuple_explosion_nf_size(18)
     srec = run_stam(t)
     assert shared_size_source(readback_value(srec.final_state.focus)) == tuple_explosion_nf_size(18)
+
+
+def _distinct_nodes(t) -> int:
+    """The number of distinct source-term nodes in t, by id, on one explicit stack."""
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if type(u) is Abs:
+            todo += (*u.params, u.body)
+        elif type(u) is App:
+            todo += (u.fn, u.arg)
+        elif type(u) is Proj:
+            todo.append(u.arg)
+        elif type(u) is Tuple:
+            todo += u.items
+    return len(seen)
+
+
+def test_int_read_out_keeps_a_shared_result_shared():
+    # unwrap without a memo unfolds the result into 131,073 distinct nodes here.
+    n = 16
+    m = MACHINES["int"]
+    rec = m.run(family_tuple_explosion(n))
+    out = m.read_out(m.readback(rec.final_state))
+    assert _distinct_nodes(out) <= 10 * n
+    assert metrics(out).size == tuple_explosion_nf_size(n)
 
 
 def test_unfolded_size_of_a_value_bag_under_a_non_empty_size_map():
